@@ -12,9 +12,9 @@
 # parallelism and backends) and the rack-obs smoke (rack-scale
 # distributed tracing: hop-delta tiling, dominant-hop attribution on a
 # congested link, burn alert + forensic dump, stitched Follows_from
-# migrations).
+# migrations) and the host-cost benchmark self-tests (recorded digests).
 
-.PHONY: all build test lint bench-smoke chaos-smoke monitor-smoke obs-smoke rack-smoke rack-obs-smoke check trace chaos monitor obs rack bench clean
+.PHONY: all build test lint bench-smoke chaos-smoke monitor-smoke obs-smoke rack-smoke rack-obs-smoke host-selftest check trace chaos monitor obs rack bench clean
 
 all: build
 
@@ -95,6 +95,14 @@ rack-obs-smoke: build
 	@grep -q "heap vs wheel backends byte-identical: true" _build/rack_obs_smoke.out
 	@echo "rack-obs smoke OK: tiling exact, ingress blamed, alert fired, migrations stitched"
 
+# Host-cost benchmark self-tests: every workload's shape predicates, its
+# same-seed rerun digest and the digest recorded in bench/host/digests.txt,
+# heap vs wheel and traced vs untraced equality (short runs).  The
+# recorded digests are the oracle that a refactor left the simulated
+# results unchanged.
+host-selftest: build
+	python3 bench/host/run.py --selftest
+
 check: build
 	$(MAKE) lint
 	dune runtest
@@ -104,6 +112,7 @@ check: build
 	$(MAKE) obs-smoke
 	$(MAKE) rack-smoke
 	$(MAKE) rack-obs-smoke
+	$(MAKE) host-selftest
 
 # Canonical telemetry scenario: per-request latency breakdowns, SLO
 # audit, scheduler decision log, Chrome trace JSON.

@@ -448,7 +448,7 @@ let micro_benchmarks () =
   in
   let codec_roundtrip =
     let msg =
-      Reflex_proto.Message.Read_req { handle = 7; req_id = 42L; lba = 123L; len = 4096 }
+      Reflex_proto.Message.Read_req { handle = 7; req_id = 42; lba = 123L; len = 4096 }
     in
     let buf = Bytes.create 64 in
     Test.make ~name:"proto_codec_roundtrip"
@@ -459,7 +459,7 @@ let micro_benchmarks () =
   let hist_record =
     let h = Reflex_stats.Hdr_histogram.create () in
     Test.make ~name:"hdr_histogram_record"
-      (Staged.stage (fun () -> Reflex_stats.Hdr_histogram.record h 123_456L))
+      (Staged.stage (fun () -> Reflex_stats.Hdr_histogram.record h 123_456))
   in
   let flash_io =
     Test.make ~name:"flash_model_4k_read"
@@ -494,7 +494,8 @@ let micro_benchmarks () =
            ignore (Sim.run sim)))
   in
   (* Raw queue datapath, no Sim wrapper: 256 scattered pushes then a
-     full drain, on each backend. *)
+     full drain through the event loop's allocation-free pop, on each
+     backend. *)
   let heap_queue =
     let q = Heap.create () in
     Test.make ~name:"engine_heap_push_pop"
@@ -502,7 +503,7 @@ let micro_benchmarks () =
            for i = 0 to 255 do
              Heap.push q ~time:(Time.us (((i * 37) land 255) + 1)) ~seq:i i
            done;
-           let rec drain () = match Heap.pop q with Some _ -> drain () | None -> () in
+           let rec drain () = if Heap.pop_if_le q ~until:Time.infinity >= 0 then drain () in
            drain ()))
   in
   let wheel_queue =
@@ -518,7 +519,7 @@ let micro_benchmarks () =
              Wheel.push q ~time:(Time.us (b + ((i * 37) land 255))) ~seq:i i
            done;
            base := b + 257;
-           let rec drain () = match Wheel.pop q with Some _ -> drain () | None -> () in
+           let rec drain () = if Wheel.pop_if_le q ~until:Time.infinity >= 0 then drain () in
            drain ()))
   in
   let tests =

@@ -50,7 +50,7 @@ let run sim path ~threads ~qd ?(bytes = 4096) ?(read_ratio = 1.0) ?(per_io_cpu =
                   decr outstanding;
                   if Time.(issued >= warmup_until) && Time.(issued < stop_at) then begin
                     incr measured;
-                    Hdr_histogram.record hist (Time.diff (Sim.now sim) issued)
+                    Hdr_histogram.record hist (Time.diff (Sim.now sim) issued :> int)
                   end;
                   slot core ();
                   maybe_finish ())))

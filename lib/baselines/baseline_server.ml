@@ -77,6 +77,6 @@ let accept t conn =
         reply conn (Message.Error_resp { req_id; status = Message.Bad_request })
       | Message.Registered _ | Message.Unregistered _ | Message.Read_resp _
       | Message.Write_resp _ | Message.Barrier_resp _ | Message.Error_resp _ ->
-        reply conn (Message.Error_resp { req_id = 0L; status = Message.Bad_request }))
+        reply conn (Message.Error_resp { req_id = 0; status = Message.Bad_request }))
 
 let requests_completed t = t.completed

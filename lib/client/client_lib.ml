@@ -20,8 +20,8 @@ type t = {
   core : Resource.t;
   stack : Stack_model.t;
   client_host : Fabric.host;
-  mutable next_req : int64;
-  outstanding : (int64, pending) Hashtbl.t;
+  mutable next_req : int;
+  outstanding : (int, pending) Hashtbl.t;
   mutable register_k : (Message.status -> unit) option;
   mutable unregister_k : (unit -> unit) option;
   mutable handle : int option;
@@ -100,7 +100,7 @@ let connect sim fabric ~server_host ~accept ~stack ?host ?(name = "client") ?ret
       core = Resource.create sim ~servers:1;
       stack;
       client_host;
-      next_req = 1L;
+      next_req = 1;
       outstanding = Hashtbl.create 256;
       register_k = None;
       unregister_k = None;
@@ -152,7 +152,7 @@ let msg_of_op ~handle ~req_id = function
    follows-from link chains the attempts into one span tree. *)
 let rec issue ?prev t ~handle ~t0 ~attempt ~op pk =
   let req_id = t.next_req in
-  t.next_req <- Int64.add req_id 1L;
+  t.next_req <- req_id + 1;
   let timer =
     match t.retry with
     | None -> None

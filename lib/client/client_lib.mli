@@ -73,7 +73,7 @@ val unregister : t -> (unit -> unit) -> unit
     before {!read}/{!write} to correlate that operation with server-side
     observability (e.g. rack hop tracing) without changing the wire
     protocol. *)
-val next_req_id : t -> int64
+val next_req_id : t -> int
 
 (** Requests issued but not yet completed. *)
 val inflight : t -> int

@@ -53,8 +53,8 @@ let record t ~kind ~issued_at status ~latency =
     in
     if in_window then t.measured_completions <- t.measured_completions + 1;
     match kind with
-    | `Read -> Hdr_histogram.record t.reads latency
-    | `Write -> Hdr_histogram.record t.writes latency
+    | `Read -> Hdr_histogram.record t.reads (latency : Time.t :> int)
+    | `Write -> Hdr_histogram.record t.writes (latency : Time.t :> int)
   end
 
 (* With a deterministic mix, reads and writes interleave on a fixed

@@ -41,7 +41,7 @@ type 'a t = {
      dump with what the rx ring and SQ looked like. *)
   fl : Reflex_obs.Flight.t;
   fl_on : bool;
-  trace_id : 'a -> int64;
+  trace_id : 'a -> int;
   (* Rack-trace hop sink: stamps the NVMe submit/complete instants for a
      (tenant, request) so a rack-level tracer can attribute server-queue
      vs flash-service time.  [hops_on] mirrors the sink's bool so the
@@ -217,7 +217,7 @@ and finish_cycle t =
 let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.default)
     ?neg_limit ?donate_fraction ?notify_control_plane
     ?(reroute = fun ~tenant_id ~kind:_ ~bytes:_ _ -> ignore tenant_id; raise Not_found)
-    ?(telemetry = Telemetry.disabled) ?(trace_id = fun _ -> 0L) ~respond () =
+    ?(telemetry = Telemetry.disabled) ?(trace_id = fun _ -> 0) ~respond () =
   let scheduler =
     Scheduler.create ?neg_limit ?donate_fraction ~global ~thread_id ?notify_control_plane
       ~telemetry ()

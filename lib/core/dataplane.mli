@@ -47,9 +47,9 @@ val create :
   ?telemetry:Reflex_telemetry.Telemetry.t ->
   (* observability sink, default disabled: every span/gauge site then
      costs a single boolean test and the cycle stays allocation-free *)
-  ?trace_id:('a -> int64) ->
+  ?trace_id:('a -> int) ->
   (* projects the opaque payload to the request id used for lifecycle
-     spans (identity is the (tenant, req_id) pair); default [fun _ -> 0L] *)
+     spans (identity is the (tenant, req_id) pair); default [fun _ -> 0] *)
   respond:('a done_req -> unit) ->
   unit ->
   'a t

@@ -7,7 +7,7 @@ open Reflex_telemetry
 
 type inflight = {
   conn : Message.t Tcp_conn.t;
-  req_id : int64;
+  req_id : int;
   bytes : int;
   tenant : int;
   t_arrive : Time.t; (* server-side arrival, for per-tenant latency *)
@@ -19,7 +19,7 @@ type inflight = {
    after it waits. *)
 type gate = {
   mutable outstanding : int;
-  mutable armed : (Message.t Tcp_conn.t * int64) option;
+  mutable armed : (Message.t Tcp_conn.t * int) option;
   buffered : (unit -> unit) Queue.t;
 }
 
@@ -372,7 +372,7 @@ let accept t conn =
           handle_barrier t conn ~handle ~req_id ~registered_handle
         | Message.Registered _ | Message.Unregistered _ | Message.Read_resp _
         | Message.Write_resp _ | Message.Barrier_resp _ | Message.Error_resp _ ->
-          Some (Message.Error_resp { req_id = 0L; status = Message.Bad_request })
+          Some (Message.Error_resp { req_id = 0; status = Message.Bad_request })
       in
       match reply with
       | Some m -> Tcp_conn.send_to_client conn ~size:(Codec.encoded_size m) m

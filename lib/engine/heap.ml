@@ -1,8 +1,9 @@
 (* Binary min-heap in structure-of-arrays layout: the (time, seq) keys and
    the payloads live in three parallel arrays instead of one array of
-   boxed [entry] records.  A push therefore allocates nothing (PR 1's
-   zero-alloc discipline, extended here): the former per-push entry
-   record is gone, and sift-up/-down move array cells, never boxes.
+   boxed [entry] records.  [Time.t] is a private [int], so the key arrays
+   are plain int arrays: a push or pop allocates nothing and stores
+   into them skip the write barrier.  Sift-up/-down move array cells,
+   never boxes.
 
    Sift operations are hole-lifting: the moving element is held in
    locals while parents/children shift into the hole, so each level
@@ -13,9 +14,14 @@ type 'a t = {
   mutable seqs : int array;
   mutable values : 'a array;
   mutable size : int;
+  (* key of the last element {!remove_top} took off, read back through
+     {!popped_time}/{!popped_seq} so the pop itself returns no tuple *)
+  mutable popped_time : Time.t;
+  mutable popped_seq : int;
 }
 
-let create () = { times = [||]; seqs = [||]; values = [||]; size = 0 }
+let create () =
+  { times = [||]; seqs = [||]; values = [||]; size = 0; popped_time = Time.zero; popped_seq = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
@@ -50,17 +56,17 @@ let grow t v =
     t.values <- nvalues
   end
 
-(* Is the key (time, seq) strictly less than the entry at index [j]? *)
-let key_less t time seq j =
-  match Time.compare time t.times.(j) with
-  | 0 -> seq < t.seqs.(j)
-  | c -> c < 0
+(* Is the key (time, seq) strictly less than the entry at index [j]?
+   [Time.t] is a private [int], so these comparisons compile to plain
+   integer compares. *)
+let key_less t (time : Time.t) seq j =
+  let tj = t.times.(j) in
+  time < tj || (time = tj && seq < t.seqs.(j))
 
 (* Is the entry at index [j] strictly less than the key (time, seq)? *)
-let entry_less t j time seq =
-  match Time.compare t.times.(j) time with
-  | 0 -> t.seqs.(j) < seq
-  | c -> c < 0
+let entry_less t j (time : Time.t) seq =
+  let tj = t.times.(j) in
+  tj < time || (tj = time && t.seqs.(j) < seq)
 
 let push t ~time ~seq v =
   grow t v;
@@ -88,9 +94,16 @@ let peek t = if t.size = 0 then None else Some (t.times.(0), t.seqs.(0), t.value
    ([Wheel]'s overflow checks): no option, no tuple. *)
 let peek_time t = if t.size = 0 then Time.infinity else t.times.(0)
 
-(* Remove and return the root; requires [t.size > 0]. *)
+(* The root's sequence number, [max_int] when empty; with [peek_time] it
+   orders the root against another queue's minimum without a tuple. *)
+let peek_seq t = if t.size = 0 then max_int else t.seqs.(0)
+
+(* Remove the root and return its payload, leaving its key in
+   [popped_time]/[popped_seq]; requires [t.size > 0]. *)
 let remove_top t =
-  let rtime = t.times.(0) and rseq = t.seqs.(0) and rv = t.values.(0) in
+  let rv = t.values.(0) in
+  t.popped_time <- t.times.(0);
+  t.popped_seq <- t.seqs.(0);
   t.size <- t.size - 1;
   let n = t.size in
   if n > 0 then begin
@@ -125,17 +138,23 @@ let remove_top t =
     t.seqs.(!i) <- lseq;
     t.values.(!i) <- lv
   end;
-  (rtime, rseq, rv)
+  rv
 
-let pop t = if t.size = 0 then None else Some (remove_top t)
+let popped_time t = t.popped_time
+let popped_seq t = t.popped_seq
+
+let pop t =
+  if t.size = 0 then None
+  else
+    let v = remove_top t in
+    Some (t.popped_time, t.popped_seq, v)
 
 (* Single-traversal peek+pop: pop the minimum only when it is due.  This
    is the event loop's hot path — one root comparison replaces the
-   peek-then-pop double traversal. *)
-let pop_if_le t ~until =
-  if t.size = 0 then None
-  else if Time.compare t.times.(0) until > 0 then None
-  else Some (remove_top t)
+   peek-then-pop double traversal, and the [-1] sentinel plus the
+   [popped_time] field replace an option and a tuple per event. *)
+let pop_if_le t ~(until : Time.t) =
+  if t.size = 0 || t.times.(0) > until then -1 else remove_top t
 
 let clear t =
   (* Keep the numeric key arrays (capacity survives, see {!capacity});

@@ -4,8 +4,9 @@
     instant execute in FIFO order — essential for deterministic replay.
 
     The heap stores keys and payloads in parallel arrays
-    (structure-of-arrays), so {!push} allocates nothing in steady state:
-    no per-entry box exists. *)
+    (structure-of-arrays), so {!push} and {!pop_if_le} allocate nothing
+    in steady state: no per-entry box exists, and the keys are immediate
+    ints. *)
 
 type 'a t
 
@@ -28,14 +29,28 @@ val peek : 'a t -> (Time.t * int * 'a) option
     the root against a horizon before deciding to pop. *)
 val peek_time : 'a t -> Time.t
 
+(** The smallest element's sequence number, [max_int] when empty.
+    Allocation-free, like {!peek_time}. *)
+val peek_seq : 'a t -> int
+
 (** Remove and return the smallest element. *)
 val pop : 'a t -> (Time.t * int * 'a) option
 
 (** [pop_if_le t ~until] pops the smallest element only if its time is
-    [<= until]; returns [None] when the heap is empty or the minimum is
-    beyond the horizon.  Equivalent to a {!peek} guard followed by
-    {!pop}, in a single traversal — the simulator's hot path. *)
-val pop_if_le : 'a t -> until:Time.t -> (Time.t * int * 'a) option
+    [<= until] and returns its payload; returns [-1] when the heap is
+    empty or the minimum is beyond the horizon.  The popped key is read
+    back with {!popped_time} and {!popped_seq}.  Equivalent to a {!peek}
+    guard followed by {!pop}, in a single traversal, and allocates
+    nothing — the simulator's hot path.  Payloads must be non-negative
+    (arena slots) for the [-1] sentinel to be unambiguous. *)
+val pop_if_le : int t -> until:Time.t -> int
+
+(** Time of the element most recently removed by {!pop} or
+    {!pop_if_le}; unspecified before the first removal. *)
+val popped_time : 'a t -> Time.t
+
+(** Sequence number of the element most recently removed. *)
+val popped_seq : 'a t -> int
 
 (** Empty the heap, dropping all references to stored values (the payload
     array is released, so cleared entries can be collected).  The numeric

@@ -3,30 +3,40 @@
    different Runner.map domains never share mutable state. *)
 type zipf_cache = { zn : int; ztheta : float; cdf : float array }
 
-type t = { mutable state : int64; mutable zcache : zipf_cache option }
+(* The splitmix64 state lives unboxed in an 8-byte buffer: a [mutable
+   int64] field would be a pointer to a fresh box on every draw.  The
+   inlined [next] keeps the whole step in registers, so [int] draws
+   allocate nothing and [float] draws only their boxed result. *)
+type t = { state : Bytes.t; mutable zcache : zipf_cache option }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed; zcache = None }
+let create seed =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 seed;
+  { state; zcache = None }
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 s;
+  mix64 s
 
-let split t = create (bits64 t)
+let bits64 t = next t
+
+let split t = create (next t)
 
 (* The cache record is immutable once built, so sharing it with the copy
    is safe; only the per-instance [zcache] slot is mutable. *)
-let copy t = { state = t.state; zcache = t.zcache }
+let copy t = { state = Bytes.copy t.state; zcache = t.zcache }
 
 (* 53 high-quality bits -> [0,1) *)
-let float t =
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+let[@inline] float t =
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
 let float_range t lo hi = lo +. ((hi -. lo) *. float t)
@@ -34,7 +44,7 @@ let float_range t lo hi = lo +. ((hi -. lo) *. float t)
 let int t n =
   if n <= 0 then invalid_arg "Prng.int";
   (* Rejection-free for our purposes: modulo bias is negligible for n << 2^63. *)
-  let v = Int64.shift_right_logical (bits64 t) 1 in
+  let v = Int64.shift_right_logical (next t) 1 in
   Int64.to_int (Int64.rem v (Int64.of_int n))
 
 let bool t p = float t < p

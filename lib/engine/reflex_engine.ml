@@ -1,6 +1,6 @@
 (** Discrete-event simulation kernel used by every ReFlex component.
 
-    - {!Time}: int64-nanosecond virtual time
+    - {!Time}: immediate-int nanosecond virtual time
     - {!Prng}: deterministic splitmix64 random streams
     - {!Heap}: the event priority queue (default backend)
     - {!Wheel}: hierarchical timing-wheel event queue (alternate backend)

@@ -81,10 +81,15 @@ let queue_push t ~time ~seq slot =
   | Q_heap h -> Heap.push h ~time ~seq slot
   | Q_wheel w -> Wheel.push w ~time ~seq slot
 
+(* The due event's arena slot, or [-1]; its time is then read with
+   [queue_popped_time]. *)
 let queue_pop_if_le t ~until =
   match t.queue with
   | Q_heap h -> Heap.pop_if_le h ~until
   | Q_wheel w -> Wheel.pop_if_le w ~until
+
+let queue_popped_time t =
+  match t.queue with Q_heap h -> Heap.popped_time h | Q_wheel w -> Wheel.popped_time w
 
 (* Cold path: double the arena and push the fresh slots onto the
    freelist (newest first, so low slot numbers are reused first). *)
@@ -181,10 +186,13 @@ let run ?(until = Time.infinity) t =
     if queue_length t <= t.daemon_pending then continue := false
     else
       (* Single queue traversal per event: pop only when the minimum is
-         due, instead of the former peek-then-pop pair. *)
-      match queue_pop_if_le t ~until with
-      | None -> continue := false
-      | Some (time, _, slot) ->
+         due, instead of the former peek-then-pop pair.  The pop returns
+         the slot (or [-1]) and leaves the time in the queue, so an
+         event costs no allocation here. *)
+      let slot = queue_pop_if_le t ~until in
+      if slot < 0 then continue := false
+      else begin
+        let time = queue_popped_time t in
         let daemon = t.a_daemon.(slot) in
         let was_cancelled = t.a_cancelled.(slot) in
         let action = t.a_action.(slot) in
@@ -199,6 +207,7 @@ let run ?(until = Time.infinity) t =
           t.executed <- t.executed + 1;
           action ()
         end
+      end
   done;
   (* The clock advances to [until] even if the queue drained earlier, so
      that rate computations based on [now] are well defined. *)
@@ -222,9 +231,9 @@ let every t ~every:period ~until f =
         (at t time (fun () ->
              f time;
              let next = Time.add time period in
-             (* Guard int64 wrap-around near Time.infinity: a wrapped
-                [next] would be "in the past" and make [at] raise from
-                inside the event loop. *)
+             (* Guard int wrap-around near Time.infinity (max_int): a
+                wrapped [next] would be "in the past" and make [at]
+                raise from inside the event loop. *)
              if Time.(next > time) then tick next))
   in
   let first = Time.add t.clock period in

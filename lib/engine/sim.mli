@@ -76,7 +76,10 @@ val cancel : t -> event_id -> unit
 val cancelled : t -> event_id -> bool
 
 (** Run until the event queue drains or [until] (inclusive) is reached.
-    Returns the number of events executed by this call. *)
+    Returns the number of events executed by this call.  The loop itself
+    allocates nothing per event: the queue hands back the arena slot and
+    the time as immediate ints, so the only allocation is whatever the
+    actions do. *)
 val run : ?until:Time.t -> t -> int
 
 (** Total number of events executed since [create]. *)

@@ -1,37 +1,37 @@
-type t = int64
+type t = int
 
-let zero = 0L
-let infinity = Int64.max_int
-let ns x = Int64.of_int x
-let us x = Int64.mul (Int64.of_int x) 1_000L
-let ms x = Int64.mul (Int64.of_int x) 1_000_000L
-let sec x = Int64.mul (Int64.of_int x) 1_000_000_000L
-let of_float_ns x = Int64.of_float (Float.round x)
+let zero = 0
+let infinity = max_int
+let ns x = x
+let us x = x * 1_000
+let ms x = x * 1_000_000
+let sec x = x * 1_000_000_000
+let of_float_ns x = int_of_float (Float.round x)
 let of_float_us x = of_float_ns (x *. 1e3)
 let of_float_sec x = of_float_ns (x *. 1e9)
-let to_float_ns t = Int64.to_float t
-let to_float_us t = Int64.to_float t /. 1e3
-let to_float_ms t = Int64.to_float t /. 1e6
-let to_float_sec t = Int64.to_float t /. 1e9
-let add = Int64.add
-let sub = Int64.sub
-let diff a b = Int64.sub a b
+let to_float_ns t = float_of_int t
+let to_float_us t = float_of_int t /. 1e3
+let to_float_ms t = float_of_int t /. 1e6
+let to_float_sec t = float_of_int t /. 1e9
+let add a b = a + b
+let sub a b = a - b
+let diff a b = a - b
 
-let scale t x = of_float_ns (Int64.to_float t *. x)
+let scale t x = of_float_ns (float_of_int t *. x)
 
-let max a b = if Int64.compare a b >= 0 then a else b
-let min a b = if Int64.compare a b <= 0 then a else b
-let compare = Int64.compare
-let ( < ) a b = Int64.compare a b < 0
-let ( <= ) a b = Int64.compare a b <= 0
-let ( > ) a b = Int64.compare a b > 0
-let ( >= ) a b = Int64.compare a b >= 0
-let equal = Int64.equal
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
+let compare = Int.compare
+let ( < ) (a : int) b = a < b
+let ( <= ) (a : int) b = a <= b
+let ( > ) (a : int) b = a > b
+let ( >= ) (a : int) b = a >= b
+let equal (a : int) b = a = b
 
 let pp fmt t =
-  let f = Int64.to_float t in
+  let f = float_of_int t in
   let open Stdlib in
-  if Float.abs f < 1e3 then Format.fprintf fmt "%Ldns" t
+  if Float.abs f < 1e3 then Format.fprintf fmt "%dns" t
   else if Float.abs f < 1e6 then Format.fprintf fmt "%.2fus" (f /. 1e3)
   else if Float.abs f < 1e9 then Format.fprintf fmt "%.2fms" (f /. 1e6)
   else Format.fprintf fmt "%.3fs" (f /. 1e9)

@@ -1,12 +1,18 @@
 (** Simulated time, in integer nanoseconds.
 
-    All simulation components share this representation.  Using [int64]
-    nanoseconds (rather than float seconds) keeps event ordering exact and
-    simulations bit-for-bit reproducible. *)
+    All simulation components share this representation.  Integer
+    nanoseconds (rather than float seconds) keep event ordering exact and
+    simulations bit-for-bit reproducible.  The type is a private immediate
+    [int]: 63-bit nanoseconds cover about 146 years, and an immediate
+    never boxes, so passing or storing a time allocates nothing.  Read the
+    raw count with a coercion, [(t :> int)]; build one with {!ns}. *)
 
-type t = int64
+type t = private int
 
+(** Zero nanoseconds. *)
 val zero : t
+
+(** [max_int] nanoseconds: later than any reachable time. *)
 val infinity : t
 
 (** {1 Constructors} *)

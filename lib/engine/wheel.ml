@@ -19,9 +19,14 @@
    draining a slot sorts its chain into the "ready" buffer (descending
    by (time, seq), so the minimum pops from the end).  Events pushed
    below the cursor (legal: the cursor runs ahead of the sim clock once
-   a slot has been drained) insert directly into the ready buffer.
-   The total pop order is exactly (time, then seq) — byte-identical to
-   the heap backend, which the equivalence tests assert.
+   a slot has been drained) go to the "late" min-heap: a burst of them
+   at one instant (a closed-loop generator's whole queue depth, or
+   thousands of tenants admitted at once) costs O(log n) each, where
+   inserting into the sorted ready buffer shifted it.  Both hold only
+   times below the cursor, so the minimum is the smaller of the ready
+   buffer's end and the late heap's root.  The total pop order is
+   exactly (time, then seq) — byte-identical to the heap backend, which
+   the equivalence tests assert.
 
    Nodes live in a structure-of-arrays pool with an intrusive freelist:
    push and pop allocate nothing in steady state. *)
@@ -29,7 +34,7 @@
 (* Times at or beyond 2^61 ns (incl. [Time.infinity]) do not fit the
    int-indexed wheel; they stay in the overflow heap and are popped
    directly once everything else has drained. *)
-let wheel_time_max = 0x2000_0000_0000_0000L
+let wheel_time_max = 1 lsl 61
 
 type t = {
   mutable wcur : int; (* cursor position, ns, level-0-slot aligned *)
@@ -46,8 +51,11 @@ type t = {
   mutable r_seq : int array;
   mutable r_val : int array;
   mutable r_len : int;
+  late : int Heap.t; (* pushed below the cursor, ordered by (time, seq) *)
+  mutable late_n : int; (* [Heap.length late], kept here for the pop path *)
   ovf : int Heap.t; (* beyond-horizon events, ordered by (time, seq) *)
   mutable total : int;
+  mutable popped_time : Time.t; (* key of the last popped entry *)
 }
 
 let create () =
@@ -64,8 +72,11 @@ let create () =
     r_seq = [||];
     r_val = [||];
     r_len = 0;
+    late = Heap.create ();
+    late_n = 0;
     ovf = Heap.create ();
     total = 0;
+    popped_time = Time.zero;
   }
 
 let length t = t.total
@@ -132,33 +143,15 @@ let wheel_push_in t ti seq v =
   else if (ti lsr 26) - (c lsr 26) < 256 then insert_at t 2 26 ti seq v
   else insert_at t 3 34 ti seq v
 
-(* Insert an entry that lands below the cursor into the sorted ready
-   buffer (binary search + shift; descending order, minimum at the
-   end). *)
-let ready_insert t ti sq v =
-  if t.r_len = Array.length t.r_time then grow_ready t;
-  let lo = ref 0 and hi = ref t.r_len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.r_time.(mid) > ti || (t.r_time.(mid) = ti && t.r_seq.(mid) > sq) then lo := mid + 1
-    else hi := mid
-  done;
-  let p = !lo in
-  let n = t.r_len - p in
-  Array.blit t.r_time p t.r_time (p + 1) n;
-  Array.blit t.r_seq p t.r_seq (p + 1) n;
-  Array.blit t.r_val p t.r_val (p + 1) n;
-  t.r_time.(p) <- ti;
-  t.r_seq.(p) <- sq;
-  t.r_val.(p) <- v;
-  t.r_len <- t.r_len + 1
-
 let push t ~time ~seq v =
   t.total <- t.total + 1;
-  if Int64.compare time wheel_time_max >= 0 then Heap.push t.ovf ~time ~seq v
+  let ti = (time : Time.t :> int) in
+  if ti >= wheel_time_max then Heap.push t.ovf ~time ~seq v
   else begin
-    let ti = Int64.to_int time in
-    if ti < t.wcur then ready_insert t ti seq v
+    if ti < t.wcur then begin
+      Heap.push t.late ~time ~seq v;
+      t.late_n <- t.late_n + 1
+    end
     else if (ti lsr 34) - (t.wcur lsr 34) < 256 then wheel_push_in t ti seq v
     else Heap.push t.ovf ~time ~seq v
   end
@@ -171,13 +164,10 @@ let pull_overflow t =
   let horizon_slots = (t.wcur lsr 34) + 256 in
   let continue = ref true in
   while !continue do
-    (* key-only peek first: the common "nothing to pull" probe allocates
-       nothing; the pop's tuple is paid only for entries actually moved *)
-    let tm = Heap.peek_time t.ovf in
-    if Int64.compare tm wheel_time_max < 0 && Int64.to_int tm lsr 34 < horizon_slots then begin
-      match Heap.pop t.ovf with
-      | Some (tm, sq, v) -> wheel_push_in t (Int64.to_int tm) sq v
-      | None -> continue := false
+    let tm = (Heap.peek_time t.ovf :> int) in
+    if tm < wheel_time_max && tm lsr 34 < horizon_slots then begin
+      let v = Heap.pop_if_le t.ovf ~until:Time.infinity in
+      wheel_push_in t tm (Heap.popped_seq t.ovf) v
     end
     else continue := false
   done
@@ -275,13 +265,22 @@ let step t =
   t.wcur <- next;
   on_boundary t next
 
+(* Does the ready buffer's last entry come before the late heap's root?
+   Requires both to be non-empty. *)
+let ready_first t =
+  let i = t.r_len - 1 in
+  let rt = t.r_time.(i) and lt = (Heap.peek_time t.late :> int) in
+  rt < lt || (rt = lt && t.r_seq.(i) < Heap.peek_seq t.late)
+
 (* Make the next event reachable.  Returns 0 when empty, 1 when the
    minimum sits at the end of the ready buffer, 2 when it must be popped
-   directly from the overflow heap (times >= 2^61 ns only). *)
+   directly from the overflow heap (times >= 2^61 ns only), 3 when it is
+   the late heap's root. *)
 let ensure t =
   let res = ref (-1) in
   while !res < 0 do
-    if t.r_len > 0 then res := 1
+    if t.late_n > 0 then res := if t.r_len > 0 && ready_first t then 1 else 3
+    else if t.r_len > 0 then res := 1
     else if t.total = 0 then res := 0
     else if wheel_live t > 0 then begin
       let row = (t.wcur lsr 10) land 255 in
@@ -289,11 +288,10 @@ let ensure t =
     end
     else begin
       (* only the overflow heap holds entries; key-only peek, no alloc *)
-      let tm = Heap.peek_time t.ovf in
+      let ti = (Heap.peek_time t.ovf :> int) in
       if Heap.is_empty t.ovf then res := 0
-      else if Int64.compare tm wheel_time_max < 0 then begin
+      else if ti < wheel_time_max then begin
         (* rebase the cursor onto the earliest overflow entry *)
-        let ti = Int64.to_int tm in
         let aligned = ti lsr 10 lsl 10 in
         if aligned > t.wcur then t.wcur <- aligned;
         pull_overflow t
@@ -307,8 +305,9 @@ let peek t =
   match ensure t with
   | 1 ->
     let i = t.r_len - 1 in
-    Some (Int64.of_int t.r_time.(i), t.r_seq.(i), t.r_val.(i))
+    Some (Time.ns t.r_time.(i), t.r_seq.(i), t.r_val.(i))
   | 2 -> Heap.peek t.ovf
+  | 3 -> Heap.peek t.late
   | _ -> None
 
 let pop t =
@@ -317,39 +316,48 @@ let pop t =
     let i = t.r_len - 1 in
     t.r_len <- i;
     t.total <- t.total - 1;
-    Some (Int64.of_int t.r_time.(i), t.r_seq.(i), t.r_val.(i))
+    Some (Time.ns t.r_time.(i), t.r_seq.(i), t.r_val.(i))
   | 2 ->
     t.total <- t.total - 1;
     Heap.pop t.ovf
+  | 3 ->
+    t.total <- t.total - 1;
+    t.late_n <- t.late_n - 1;
+    Heap.pop t.late
   | _ -> None
 
+(* Pop the root of [h] (the overflow or the late heap) if it is due. *)
+let pop_heap_if_le t h ~until =
+  let v = Heap.pop_if_le h ~until in
+  if v >= 0 then begin
+    t.total <- t.total - 1;
+    t.popped_time <- Heap.popped_time h
+  end;
+  v
+
 (* Single-traversal peek+pop — the event loop's hot path on this
-   backend, mirroring [Heap.pop_if_le]. *)
+   backend, mirroring [Heap.pop_if_le]: the payload or [-1], with the
+   popped time left in [popped_time]. *)
 let pop_if_le t ~until =
   match ensure t with
   | 1 ->
     let i = t.r_len - 1 in
     let tm = t.r_time.(i) in
-    if
-      Int64.compare until wheel_time_max >= 0
-      || (Int64.to_int until >= 0 && tm <= Int64.to_int until)
-    then begin
+    if tm <= (until : Time.t :> int) then begin
       t.r_len <- i;
       t.total <- t.total - 1;
-      Some (Int64.of_int tm, t.r_seq.(i), t.r_val.(i))
+      t.popped_time <- Time.ns tm;
+      t.r_val.(i)
     end
-    else None
-  | 2 ->
-    (* key-only peek: the miss case (min beyond horizon) allocates
-       nothing; [peek_time] is [infinity] on an empty heap, and
-       [until < infinity] for any real horizon, so the guard also
-       rejects the empty case *)
-    if (not (Heap.is_empty t.ovf)) && Time.compare (Heap.peek_time t.ovf) until <= 0 then begin
-      t.total <- t.total - 1;
-      Heap.pop t.ovf
-    end
-    else None
-  | _ -> None
+    else -1
+  | 2 -> pop_heap_if_le t t.ovf ~until
+  | 3 ->
+    let v = pop_heap_if_le t t.late ~until in
+    if v >= 0 then t.late_n <- t.late_n - 1;
+    v
+  | _ -> -1
+
+let popped_time t = t.popped_time
 
 let clear t =
   Array.fill t.heads 0 (Array.length t.heads) (-1);
@@ -361,6 +369,8 @@ let clear t =
   if cap > 0 then t.p_next.(cap - 1) <- -1;
   t.free_head <- (if cap > 0 then 0 else -1);
   t.r_len <- 0;
+  Heap.clear t.late;
+  t.late_n <- 0;
   Heap.clear t.ovf;
   t.total <- 0;
   t.wcur <- 0

@@ -8,8 +8,7 @@
     backend (asserted by the qcheck equivalence suite).
 
     Nodes live in a structure-of-arrays pool with an intrusive freelist:
-    {!push}, {!pop} and {!pop_if_le} allocate nothing in steady state
-    beyond the returned option/boxed time. *)
+    {!push} and {!pop_if_le} allocate nothing in steady state. *)
 
 type t
 
@@ -28,8 +27,14 @@ val peek : t -> (Time.t * int * int) option
 val pop : t -> (Time.t * int * int) option
 
 (** [pop_if_le t ~until] pops the smallest element only if its time is
-    [<= until]; mirrors {!Heap.pop_if_le}. *)
-val pop_if_le : t -> until:Time.t -> (Time.t * int * int) option
+    [<= until] and returns its payload, or [-1] when the wheel is empty
+    or the minimum is beyond the horizon; mirrors {!Heap.pop_if_le}.
+    Payloads must be non-negative. *)
+val pop_if_le : t -> until:Time.t -> int
+
+(** Time of the element most recently removed by {!pop_if_le};
+    unspecified before the first such removal. *)
+val popped_time : t -> Time.t
 
 (** Empty the wheel.  Node-pool and ready-buffer capacity is kept; the
     cursor resets to zero. *)

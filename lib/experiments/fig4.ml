@@ -78,7 +78,7 @@ let local_point ~threads ~rate ~window =
       Reflex_baselines.Local.submit local ~kind:Reflex_flash.Io_op.Read ~bytes (fun ~latency ->
           if Time.(issued >= warmup) && Time.(Sim.now sim <= stop) then begin
             incr completions;
-            Reflex_stats.Hdr_histogram.record hist latency
+            Reflex_stats.Hdr_histogram.record hist (latency :> int)
           end);
       let gap = Time.max (Time.ns 1) (Time.of_float_ns (Prng.exponential prng ~mean:(1e9 /. rate))) in
       ignore (Sim.after sim gap arrival)

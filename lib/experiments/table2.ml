@@ -72,7 +72,7 @@ let local_row () =
       if !remaining > 0 then begin
         decr remaining;
         Reflex_baselines.Local.submit local ~kind ~bytes:4096 (fun ~latency ->
-            Hdr_histogram.record hist latency;
+            Hdr_histogram.record hist (latency :> int);
             ignore (Sim.after sim (Time.us 50) next))
       end
     in

@@ -41,10 +41,10 @@ let measure ?(config = default_config) profile ~read_ratio ~bytes ~rate =
             let in_window = Time.(Sim.now sim <= stop_at) in
             match kind with
             | Read ->
-              Hdr_histogram.record reads latency;
+              Hdr_histogram.record reads (latency :> int);
               if in_window then incr read_completions
             | Write ->
-              Hdr_histogram.record writes latency;
+              Hdr_histogram.record writes (latency :> int);
               if in_window then incr write_completions
           end);
       let gap = Time.of_float_ns (Prng.exponential arrival_prng ~mean:mean_gap_ns) in

@@ -145,7 +145,7 @@ let submit_read t ~bytes cb =
         (Sim.after t.sim t.p.read_pipeline (fun () ->
              t.reads_done <- t.reads_done + 1;
              let latency = Time.diff (Sim.now t.sim) submit_time in
-             if t.tel_on then Reflex_stats.Hdr_histogram.record t.h_read latency;
+             if t.tel_on then Reflex_stats.Hdr_histogram.record t.h_read (latency :> int);
              cb ~latency)))
 
 (* Backend work for one write: program jobs plus an erase burst every
@@ -195,7 +195,7 @@ let submit_write t ~bytes cb =
       (Sim.after t.sim ack (fun () ->
            t.writes_done <- t.writes_done + 1;
            let latency = Time.diff (Sim.now t.sim) submit_time in
-           if t.tel_on then Reflex_stats.Hdr_histogram.record t.h_write latency;
+           if t.tel_on then Reflex_stats.Hdr_histogram.record t.h_write (latency :> int);
            cb ~latency))
   in
   if t.wbuf_used < t.p.write_buffer_slots then run_with_slot ()

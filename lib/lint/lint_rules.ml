@@ -300,6 +300,13 @@ let check_guards ~file str =
 let printf_heads = [ "Printf"; "Format" ]
 let printf_names = [ "sprintf"; "printf"; "eprintf"; "fprintf"; "asprintf"; "sprintf" ]
 
+(* In-place byte and fixed-width integer accessors of String/Bytes: they
+   read or write the existing buffer and build no string. *)
+let byte_accessor name =
+  let prefixed p = String.length name >= String.length p && String.sub name 0 (String.length p) = p in
+  List.mem name [ "length"; "get"; "set"; "unsafe_get"; "unsafe_set" ]
+  || List.exists prefixed [ "get_int"; "set_int"; "get_uint"; "set_uint" ]
+
 (* Classify an expression node as an allocating construct; [Some
    (construct, loc, detail)]. *)
 let alloc_construct e =
@@ -314,7 +321,7 @@ let alloc_construct e =
     let head = lid_head lid and last = lid_last lid in
     if List.mem head printf_heads || (head = last && List.mem last printf_names) then
       Some ("printf", loc, lid_string lid)
-    else if head = "String" || head = "Bytes" || last = "^" then
+    else if ((head = "String" || head = "Bytes") && not (byte_accessor last)) || last = "^" then
       Some ("string", loc, lid_string lid)
     else if last = "@" || (head = "List" && List.mem last [ "append"; "concat"; "map"; "rev" ])
     then Some ("list", loc, lid_string lid)

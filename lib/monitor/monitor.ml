@@ -162,7 +162,7 @@ let knee_rate t = t.knee_rate
 let track_tenant t id ~slo_us =
   let pfx = Printf.sprintf "t%d" id in
   let latency = pfx ^ "/latency" in
-  let slo_ns = Int64.of_int (slo_us * 1000) in
+  let slo_ns = slo_us * 1000 in
   Tsdb.register_hist t.tsdb latency (Telemetry.tenant_latency_hist t.telemetry ~tenant:id);
   Tsdb.register_derived t.tsdb (pfx ^ "/bad") (fun w ->
       match Tsdb.hist w latency with

@@ -105,7 +105,7 @@ end
 type t = {
   on : bool;
   capacity : int;
-  times : int64 array;
+  times : Time.t array; (* immediate ints: a record store boxes nothing *)
   kinds : int array;
   aa : int array;
   bb : int array;
@@ -128,7 +128,7 @@ let make ~enabled ~capacity =
   {
     on = enabled;
     capacity;
-    times = Array.make capacity 0L;
+    times = Array.make capacity Time.zero;
     kinds = Array.make capacity 0;
     aa = Array.make capacity 0;
     bb = Array.make capacity 0;
@@ -218,7 +218,7 @@ let snapshot t ~now ~window =
   let n = ref 0 in
   iter t (fun ~time ~kind:_ ~a:_ ~b:_ ~v:_ -> if Time.(time >= cutoff) then incr n);
   let n = !n in
-  let s_times = Array.make (max n 1) 0L in
+  let s_times = Array.make (max n 1) Time.zero in
   let s_kinds = Array.make (max n 1) 0 in
   let s_a = Array.make (max n 1) 0 in
   let s_b = Array.make (max n 1) 0 in

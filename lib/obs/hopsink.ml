@@ -10,7 +10,7 @@ open Reflex_engine
 
 type t = {
   on : bool;
-  stamp : tenant:int -> req:int64 -> hop:int -> now:Time.t -> unit;
+  stamp : tenant:int -> req:int -> hop:int -> now:Time.t -> unit;
 }
 
 let null = { on = false; stamp = (fun ~tenant:_ ~req:_ ~hop:_ ~now:_ -> ()) }

@@ -15,10 +15,10 @@ type t
 val null : t
 
 (** [make f] arms a sink whose every {!stamp} calls [f]. *)
-val make : (tenant:int -> req:int64 -> hop:int -> now:Time.t -> unit) -> t
+val make : (tenant:int -> req:int -> hop:int -> now:Time.t -> unit) -> t
 
 val enabled : t -> bool
 
 (** [stamp t ~tenant ~req ~hop ~now] reports one hop instant.  Allocation
     free on the caller side; a no-op on {!null}. *)
-val stamp : t -> tenant:int -> req:int64 -> hop:int -> now:Time.t -> unit
+val stamp : t -> tenant:int -> req:int -> hop:int -> now:Time.t -> unit

@@ -76,14 +76,26 @@ let get_u32 buf off = get_u16 buf off lor (get_u16 buf (off + 2) lsl 16)
 let set_u64 buf off v = Bytes.set_int64_le buf off v
 let get_u64 buf off = Bytes.get_int64_le buf off
 
+(* Request ids are immediate ints in [0, max_int]; the wire keeps the
+   64-bit field, converted only here. *)
+let set_req_id buf off v =
+  if v < 0 then invalid_arg "Codec: req_id out of range";
+  set_u64 buf off (Int64.of_int v)
+
+let get_req_id buf off =
+  let v = get_u64 buf off in
+  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+    invalid_arg (Printf.sprintf "Codec.decode: req_id %Lu out of range" v);
+  Int64.to_int v
+
 let fields = function
-  | Message.Register { tenant; slo } -> (op_register, 0, tenant, 0L, pack_slo slo, 0)
-  | Message.Unregister { handle } -> (op_unregister, 0, handle, 0L, 0L, 0)
+  | Message.Register { tenant; slo } -> (op_register, 0, tenant, 0, pack_slo slo, 0)
+  | Message.Unregister { handle } -> (op_unregister, 0, handle, 0, 0L, 0)
   | Message.Read_req { handle; req_id; lba; len } -> (op_read, 0, handle, req_id, lba, len)
   | Message.Write_req { handle; req_id; lba; len } -> (op_write, 0, handle, req_id, lba, len)
   | Message.Registered { handle; status } ->
-    (op_registered, status_to_int status, handle, 0L, 0L, 0)
-  | Message.Unregistered { handle } -> (op_unregistered, 0, handle, 0L, 0L, 0)
+    (op_registered, status_to_int status, handle, 0, 0L, 0)
+  | Message.Unregistered { handle } -> (op_unregistered, 0, handle, 0, 0L, 0)
   | Message.Read_resp { req_id; status; len } ->
     (op_read_resp, status_to_int status, 0, req_id, 0L, len)
   | Message.Write_resp { req_id; status } -> (op_write_resp, status_to_int status, 0, req_id, 0L, 0)
@@ -99,7 +111,7 @@ let encode_into msg buf off =
   Bytes.set_uint8 buf (off + 2) opcode;
   Bytes.set_uint8 buf (off + 3) status;
   set_u32 buf (off + 4) handle;
-  set_u64 buf (off + 8) req_id;
+  set_req_id buf (off + 8) req_id;
   set_u64 buf (off + 16) lba;
   set_u32 buf (off + 24) len;
   (* Zero-fill payload: data content is synthetic in the simulator. *)
@@ -134,7 +146,7 @@ let decode buf off =
   let opcode = Bytes.get_uint8 buf (off + 2) in
   let status = status_of_int (Bytes.get_uint8 buf (off + 3)) in
   let handle = get_u32 buf (off + 4) in
-  let req_id = get_u64 buf (off + 8) in
+  let req_id = get_req_id buf (off + 8) in
   let lba = get_u64 buf (off + 16) in
   let len = get_u32 buf (off + 24) in
   let msg =

@@ -17,15 +17,15 @@ let best_effort_slo = { latency_us = 0; iops = 0; read_pct = 100; latency_critic
 type t =
   | Register of { tenant : int; slo : slo }
   | Unregister of { handle : int }
-  | Read_req of { handle : int; req_id : int64; lba : int64; len : int }
-  | Write_req of { handle : int; req_id : int64; lba : int64; len : int }
-  | Barrier_req of { handle : int; req_id : int64 }
+  | Read_req of { handle : int; req_id : int; lba : int64; len : int }
+  | Write_req of { handle : int; req_id : int; lba : int64; len : int }
+  | Barrier_req of { handle : int; req_id : int }
   | Registered of { handle : int; status : status }
   | Unregistered of { handle : int }
-  | Read_resp of { req_id : int64; status : status; len : int }
-  | Write_resp of { req_id : int64; status : status }
-  | Barrier_resp of { req_id : int64 }
-  | Error_resp of { req_id : int64; status : status }
+  | Read_resp of { req_id : int; status : status; len : int }
+  | Write_resp of { req_id : int; status : status }
+  | Barrier_resp of { req_id : int }
+  | Error_resp of { req_id : int; status : status }
 
 let equal (a : t) b = a = b
 
@@ -36,20 +36,20 @@ let pp fmt = function
       slo.iops slo.latency_us slo.read_pct
   | Unregister { handle } -> Format.fprintf fmt "unregister(%d)" handle
   | Read_req { handle; req_id; lba; len } ->
-    Format.fprintf fmt "read(h=%d, id=%Ld, lba=%Ld, len=%d)" handle req_id lba len
+    Format.fprintf fmt "read(h=%d, id=%d, lba=%Ld, len=%d)" handle req_id lba len
   | Write_req { handle; req_id; lba; len } ->
-    Format.fprintf fmt "write(h=%d, id=%Ld, lba=%Ld, len=%d)" handle req_id lba len
+    Format.fprintf fmt "write(h=%d, id=%d, lba=%Ld, len=%d)" handle req_id lba len
   | Registered { handle; status } ->
     Format.fprintf fmt "registered(h=%d, %s)" handle (status_to_string status)
   | Unregistered { handle } -> Format.fprintf fmt "unregistered(%d)" handle
   | Read_resp { req_id; status; len } ->
-    Format.fprintf fmt "read_resp(id=%Ld, %s, len=%d)" req_id (status_to_string status) len
+    Format.fprintf fmt "read_resp(id=%d, %s, len=%d)" req_id (status_to_string status) len
   | Write_resp { req_id; status } ->
-    Format.fprintf fmt "write_resp(id=%Ld, %s)" req_id (status_to_string status)
-  | Barrier_req { handle; req_id } -> Format.fprintf fmt "barrier(h=%d, id=%Ld)" handle req_id
-  | Barrier_resp { req_id } -> Format.fprintf fmt "barrier_resp(id=%Ld)" req_id
+    Format.fprintf fmt "write_resp(id=%d, %s)" req_id (status_to_string status)
+  | Barrier_req { handle; req_id } -> Format.fprintf fmt "barrier(h=%d, id=%d)" handle req_id
+  | Barrier_resp { req_id } -> Format.fprintf fmt "barrier_resp(id=%d)" req_id
   | Error_resp { req_id; status } ->
-    Format.fprintf fmt "error(id=%Ld, %s)" req_id (status_to_string status)
+    Format.fprintf fmt "error(id=%d, %s)" req_id (status_to_string status)
 
 let payload_bytes = function
   | Write_req { len; _ } -> len

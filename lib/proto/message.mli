@@ -31,17 +31,17 @@ val best_effort_slo : slo
 type t =
   | Register of { tenant : int; slo : slo }
   | Unregister of { handle : int }
-  | Read_req of { handle : int; req_id : int64; lba : int64; len : int }
-  | Write_req of { handle : int; req_id : int64; lba : int64; len : int }
-  | Barrier_req of { handle : int; req_id : int64 }
+  | Read_req of { handle : int; req_id : int; lba : int64; len : int }
+  | Write_req of { handle : int; req_id : int; lba : int64; len : int }
+  | Barrier_req of { handle : int; req_id : int }
       (** §4.1 extension: completes only after every I/O the tenant issued
           before it has completed; I/Os issued after it wait for it. *)
   | Registered of { handle : int; status : status }
   | Unregistered of { handle : int }
-  | Read_resp of { req_id : int64; status : status; len : int }
-  | Write_resp of { req_id : int64; status : status }
-  | Barrier_resp of { req_id : int64 }
-  | Error_resp of { req_id : int64; status : status }
+  | Read_resp of { req_id : int; status : status; len : int }
+  | Write_resp of { req_id : int; status : status }
+  | Barrier_resp of { req_id : int }
+  | Error_resp of { req_id : int; status : status }
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -38,7 +38,7 @@ type tenant = {
 type tracer = {
   tr_dispatch :
     tenant:int -> server:int -> sampled:int -> slo_bound:Time.t -> now:Time.t -> int;
-  tr_issue : slot:int -> server:int -> tenant:int -> req:int64 -> now:Time.t -> unit;
+  tr_issue : slot:int -> server:int -> tenant:int -> req:int -> now:Time.t -> unit;
   tr_complete : slot:int -> ok:bool -> now:Time.t -> unit;
   tr_migrate : tenant:int -> src:int -> dst:int -> now:Time.t -> unit;
 }
@@ -377,7 +377,7 @@ let dispatch_read t ?on_complete ~tenant ~lba ~len () =
        no bound to audit against. *)
     if ten.slo.Message.latency_critical then begin
       let e2e = Time.diff (Sim.now t.sim) t0 in
-      Hdr.record t.hist e2e;
+      Hdr.record t.hist (e2e :> int);
       t.slo_total <- t.slo_total + 1;
       if Time.(e2e <= ten.slo_bound) then t.slo_ok <- t.slo_ok + 1
     end;

@@ -190,7 +190,7 @@ val slo_ok : t -> int
 type tracer = {
   tr_dispatch :
     tenant:int -> server:int -> sampled:int -> slo_bound:Time.t -> now:Time.t -> int;
-  tr_issue : slot:int -> server:int -> tenant:int -> req:int64 -> now:Time.t -> unit;
+  tr_issue : slot:int -> server:int -> tenant:int -> req:int -> now:Time.t -> unit;
   tr_complete : slot:int -> ok:bool -> now:Time.t -> unit;
   tr_migrate : tenant:int -> src:int -> dst:int -> now:Time.t -> unit;
 }

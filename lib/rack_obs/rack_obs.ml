@@ -193,7 +193,7 @@ type t = {
   mutable dump : dump option;
 }
 
-let corr_key ~tenant ~req = (tenant * 0x1_000_000) + (Int64.to_int req land 0xFF_FFFF)
+let corr_key ~tenant ~req = (tenant * 0x1_000_000) + (req land 0xFF_FFFF)
 
 (* ---------------- hot stamp points ---------------- *)
 
@@ -326,12 +326,12 @@ let on_complete t ~slot ~ok ~now =
   let bound = t.sl_bound.(slot) in
   if Time.(bound > Time.zero) then begin
     t.lc_traced <- t.lc_traced + 1;
-    Hdr.record t.h_comp.(0) pick;
-    Hdr.record t.h_comp.(1) ingress;
-    Hdr.record t.h_comp.(2) queue;
-    Hdr.record t.h_comp.(3) service;
-    Hdr.record t.h_comp.(4) egress;
-    Hdr.record t.h_e2e e2e;
+    Hdr.record t.h_comp.(0) (pick :> int);
+    Hdr.record t.h_comp.(1) (ingress :> int);
+    Hdr.record t.h_comp.(2) (queue :> int);
+    Hdr.record t.h_comp.(3) (service :> int);
+    Hdr.record t.h_comp.(4) (egress :> int);
+    Hdr.record t.h_e2e (e2e :> int);
     if Time.(e2e > bound) then begin
       t.viol_total <- t.viol_total + 1;
       (* dominant component, ties toward the earlier hop *)

@@ -1,6 +1,6 @@
 (** Log-bucketed latency histogram (HDR-histogram style).
 
-    Records non-negative int64 values (nanoseconds in this repository) with
+    Records non-negative [int] values (nanoseconds in this repository) with
     a bounded relative error (~1.5% with the default 6 sub-bucket bits) and
     O(1) recording, so millions of request latencies can be captured with a
     few KB of memory.  Percentile queries return the upper edge of the
@@ -11,25 +11,25 @@ type t
 (** [create ()] covers values in [0, 2^62). *)
 val create : unit -> t
 
-val record : t -> int64 -> unit
+val record : t -> int -> unit
 
 (** [record_n t v n] records [v] with multiplicity [n]. *)
-val record_n : t -> int64 -> int -> unit
+val record_n : t -> int -> int -> unit
 
 val count : t -> int
 
 (** [percentile t p] with [p] in [0, 100]; raises [Invalid_argument] when
     [p] is out of range.
 
-    Edge cases are defined: an {e empty} histogram returns [0L] for every
+    Edge cases are defined: an {e empty} histogram returns [0] for every
     [p] (it never raises), and the result is always clamped into
     [[min_value t, max_value t]], so a {e single-sample} histogram returns
     exactly that sample for every [p]. *)
-val percentile : t -> float -> int64
+val percentile : t -> float -> int
 
 val mean : t -> float
-val min_value : t -> int64
-val max_value : t -> int64
+val min_value : t -> int
+val max_value : t -> int
 
 (** Merge [src] into [dst].  Commutative and associative on bucket counts,
     totals, sums and extrema — merging per-shard histograms in any order
@@ -53,7 +53,7 @@ val diff : t -> since:t -> t
 
 (** Recorded values strictly above the bucket containing [v] — exact at
     bucket granularity (and exact for [v] < 64, the linear region). *)
-val count_above : t -> int64 -> int
+val count_above : t -> int -> int
 
 val reset : t -> unit
 

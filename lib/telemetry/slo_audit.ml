@@ -8,7 +8,7 @@ open Reflex_engine
 
 type violation = {
   v_tenant : int;
-  v_req_id : int64;
+  v_req_id : int;
   v_time : Time.t; (* completion time *)
   v_total : Time.t;
   v_slo : Time.t;
@@ -61,10 +61,11 @@ type window = {
    reported dominant component is the most frequent per-request dominant. *)
 let windows ?(window = Time.ms 10) tel =
   if Time.(window <= Time.zero) then invalid_arg "Slo_audit.windows: non-positive window";
-  let tbl : (int * int64, int * float * int array) Hashtbl.t = Hashtbl.create 64 in
+  let tbl : (int * int, int * float * int array) Hashtbl.t = Hashtbl.create 64 in
+  let window_ns = (window : Time.t :> int) in
   List.iter
     (fun v ->
-      let slot = Int64.div v.v_time window in
+      let slot = (v.v_time : Time.t :> int) / window_ns in
       let key = (v.v_tenant, slot) in
       let count, worst, doms =
         match Hashtbl.find_opt tbl key with
@@ -80,7 +81,7 @@ let windows ?(window = Time.ms 10) tel =
       let dominant = ref 0 in
       Array.iteri (fun i n -> if n > doms.(!dominant) then dominant := i) doms;
       {
-        w_start = Int64.mul slot window;
+        w_start = Time.ns (slot * window_ns);
         w_tenant = tenant;
         w_count = count;
         w_worst_us = worst;

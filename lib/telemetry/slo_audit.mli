@@ -7,7 +7,7 @@ open Reflex_engine
 
 type violation = {
   v_tenant : int;
-  v_req_id : int64;
+  v_req_id : int;
   v_time : Time.t;  (** completion time *)
   v_total : Time.t;
   v_slo : Time.t;

@@ -67,13 +67,14 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Span_ring = struct
-  (* Parallel arrays (no per-record boxing); wraparound overwrites the
-     oldest events, keeping the newest [capacity] spans. *)
+  (* Parallel arrays of immediates (no per-record boxing, no write
+     barrier); wraparound overwrites the oldest events, keeping the
+     newest [capacity] spans. *)
   type t = {
     capacity : int;
-    times : int64 array;
+    times : Time.t array;
     tenants : int array;
-    req_ids : int64 array;
+    req_ids : int array;
     stages : int array;
     mutable next : int;
     mutable total : int;
@@ -83,9 +84,9 @@ module Span_ring = struct
     if capacity < 1 then invalid_arg "Span_ring.create: capacity < 1";
     {
       capacity;
-      times = Array.make capacity 0L;
+      times = Array.make capacity Time.zero;
       tenants = Array.make capacity 0;
-      req_ids = Array.make capacity 0L;
+      req_ids = Array.make capacity 0;
       stages = Array.make capacity 0;
       next = 0;
       total = 0;
@@ -162,7 +163,7 @@ end
 module Decision_ring = struct
   type t = {
     capacity : int;
-    times : int64 array;
+    times : Time.t array;
     threads : int array;
     tenants : int array;
     kinds : int array;
@@ -176,7 +177,7 @@ module Decision_ring = struct
     if capacity < 1 then invalid_arg "Decision_ring.create: capacity < 1";
     {
       capacity;
-      times = Array.make capacity 0L;
+      times = Array.make capacity Time.zero;
       threads = Array.make capacity 0;
       tenants = Array.make capacity 0;
       kinds = Array.make capacity 0;
@@ -238,8 +239,8 @@ type link_kind = Follows_from | Child_of
 type link = {
   l_time : Time.t;
   l_kind : link_kind;
-  l_src : int * int64; (* (tenant, req_id) *)
-  l_dst : int * int64;
+  l_src : int * int; (* (tenant, req_id) *)
+  l_dst : int * int;
 }
 
 type t = {
@@ -477,7 +478,7 @@ let rec tenant_latency_hist t ~tenant =
   end
 
 let record_tenant_latency t ~tenant lat =
-  if t.enabled then Hdr_histogram.record (tenant_latency_hist t ~tenant) lat
+  if t.enabled then Hdr_histogram.record (tenant_latency_hist t ~tenant) (lat : Time.t :> int)
 
 (* ---------------- causal span links ---------------- *)
 

@@ -101,7 +101,7 @@ val set_profiler : t -> Reflex_obs.Profiler.t -> unit
 
 (** [span t ~now ~tenant ~req_id stage] records one hop.  Request identity
     is the (tenant, req_id) pair — req_ids are only unique per tenant. *)
-val span : t -> now:Time.t -> tenant:int -> req_id:int64 -> Stage.t -> unit
+val span : t -> now:Time.t -> tenant:int -> req_id:int -> Stage.t -> unit
 
 (** Spans currently retained (<= capacity). *)
 val span_count : t -> int
@@ -114,7 +114,7 @@ val spans_dropped : t -> int
 
 (** Oldest-first over the retained window. *)
 val iter_spans :
-  t -> (time:Time.t -> tenant:int -> req_id:int64 -> stage:Stage.t -> unit) -> unit
+  t -> (time:Time.t -> tenant:int -> req_id:int -> stage:Stage.t -> unit) -> unit
 
 (** {1 Scheduler decision log} *)
 
@@ -184,7 +184,7 @@ val tenants_with_slo : t -> int list
 (** End-to-end server-side latency histogram for a tenant (ns). *)
 val tenant_latency_hist : t -> tenant:int -> Hdr_histogram.t
 
-val record_tenant_latency : t -> tenant:int -> int64 -> unit
+val record_tenant_latency : t -> tenant:int -> Time.t -> unit
 
 (** {1 Causal span links}
 
@@ -204,13 +204,13 @@ val link :
   now:Time.t ->
   kind:link_kind ->
   src_tenant:int ->
-  src_req:int64 ->
+  src_req:int ->
   dst_tenant:int ->
-  dst_req:int64 ->
+  dst_req:int ->
   unit
 
 (** Chronological [(time, kind, src, dst)] edges. *)
-val links : t -> (Time.t * link_kind * (int * int64) * (int * int64)) list
+val links : t -> (Time.t * link_kind * (int * int) * (int * int)) list
 
 (** [remediation_mark t ~now ~rule ~outcome] timestamps an applied
     remediation (also mirrored into the flight ring), so degrade actions

@@ -11,16 +11,18 @@ open Reflex_engine
 
 type request = {
   r_tenant : int;
-  r_req_id : int64;
-  r_stamps : int64 array; (* Stage.count entries; -1L = stage not seen *)
+  r_req_id : int;
+  r_stamps : Time.t array; (* Stage.count entries; [not_seen] = stage not seen *)
 }
+
+let not_seen = Time.ns (-1)
 
 (* Insertion-ordered collection: ring iteration is oldest-first, so the
    resulting request list is ordered by first-seen stage, which makes all
    downstream reports deterministic. *)
 let requests tel =
-  let order : (int * int64) list ref = ref [] in
-  let by_key : (int * int64, request) Hashtbl.t = Hashtbl.create 1024 in
+  let order : (int * int) list ref = ref [] in
+  let by_key : (int * int, request) Hashtbl.t = Hashtbl.create 1024 in
   Telemetry.iter_spans tel (fun ~time ~tenant ~req_id ~stage ->
       let key = (tenant, req_id) in
       let r =
@@ -29,7 +31,7 @@ let requests tel =
         | None ->
           let r =
             { r_tenant = tenant; r_req_id = req_id;
-              r_stamps = Array.make Telemetry.Stage.count (-1L) }
+              r_stamps = Array.make Telemetry.Stage.count not_seen }
           in
           Hashtbl.replace by_key key r;
           order := key :: !order;
@@ -43,16 +45,16 @@ let requests tel =
    ring wraparound fails the first check). *)
 let complete r =
   let ok = ref true in
-  Array.iter (fun s -> if s < 0L then ok := false) r.r_stamps;
+  Array.iter (fun s -> if Time.(s < zero) then ok := false) r.r_stamps;
   if !ok then
     for i = 0 to Telemetry.Stage.count - 2 do
-      if r.r_stamps.(i + 1) < r.r_stamps.(i) then ok := false
+      if Time.(r.r_stamps.(i + 1) < r.r_stamps.(i)) then ok := false
     done;
   !ok
 
 type breakdown = {
   b_tenant : int;
-  b_req_id : int64;
+  b_req_id : int;
   b_start : Time.t;
   b_total : Time.t; (* end-to-end client latency *)
   b_components : Time.t array; (* Stage.component_count entries; sums to b_total *)
@@ -60,7 +62,7 @@ type breakdown = {
 
 let breakdown_of_request r =
   let n = Telemetry.Stage.component_count in
-  let comps = Array.make n 0L in
+  let comps = Array.make n Time.zero in
   for i = 0 to n - 1 do
     comps.(i) <- Time.diff r.r_stamps.(i + 1) r.r_stamps.(i)
   done;
@@ -97,7 +99,7 @@ let breakdown_report ?(top = 10) tel =
   List.iter
     (fun b ->
       Buffer.add_string buf
-        (Printf.sprintf "t%-7d %-10Ld %10.2f |" b.b_tenant b.b_req_id (Time.to_float_us b.b_total));
+        (Printf.sprintf "t%-7d %-10d %10.2f |" b.b_tenant b.b_req_id (Time.to_float_us b.b_total));
       Array.iter
         (fun c -> Buffer.add_string buf (Printf.sprintf " %12.2f" (Time.to_float_us c)))
         b.b_components;
@@ -128,7 +130,7 @@ let component_summary tel =
           let us = Time.to_float_us c in
           sums.(i) <- sums.(i) +. us;
           if us > maxs.(i) then maxs.(i) <- us;
-          Reflex_stats.Hdr_histogram.record hists.(i) c)
+          Reflex_stats.Hdr_histogram.record hists.(i) (c : Time.t :> int))
         b.b_components)
     bds;
   let count = List.length bds in
@@ -200,7 +202,7 @@ let retry_tree_report ?(top = 20) tel =
       if i < top then
         Buffer.add_string buf
           (Printf.sprintf "t%-4d %d attempts: %s\n" tenant (List.length reqs)
-             (String.concat " ~> " (List.map Int64.to_string reqs))))
+             (String.concat " ~> " (List.map string_of_int reqs))))
     chains;
   Buffer.contents buf
 
@@ -229,7 +231,7 @@ let add_json_string buf s =
 (* Latest timestamp observed anywhere in the telemetry — closes fault
    windows that are still open when the trace is exported. *)
 let last_time tel =
-  let t = ref 0L in
+  let t = ref Time.zero in
   let see x = if Time.(x > !t) then t := x in
   Telemetry.iter_spans tel (fun ~time ~tenant:_ ~req_id:_ ~stage:_ -> see time);
   List.iter (fun (time, _, _) -> see time) (Telemetry.fault_log tel);
@@ -257,7 +259,7 @@ let to_chrome_json ?(extra = []) tel =
           Buffer.add_string buf ",\"dur\":";
           Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us c));
           Buffer.add_string buf
-            (Printf.sprintf ",\"pid\":%d,\"tid\":%Ld,\"args\":{\"req\":%Ld}}" b.b_tenant b.b_req_id
+            (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"args\":{\"req\":%d}}" b.b_tenant b.b_req_id
                b.b_req_id);
           t := Time.add !t c)
         b.b_components)
@@ -270,7 +272,7 @@ let to_chrome_json ?(extra = []) tel =
       add_json_string buf (Telemetry.Stage.name stage);
       Buffer.add_string buf ",\"cat\":\"span\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
       Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us time));
-      Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%Ld}" tenant req_id));
+      Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d}" tenant req_id));
   (* Injected-fault windows as duration events on a dedicated row
      (pid 0 / tid 0, cat "fault"), so latency spikes in the viewer line
      up visually with the fault that caused them.  A window still open at
@@ -311,14 +313,14 @@ let to_chrome_json ?(extra = []) tel =
       Buffer.add_string buf "{\"name\":";
       add_json_string buf name;
       Buffer.add_string buf
-        (Printf.sprintf ",\"cat\":\"link\",\"ph\":\"s\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":%Ld}"
+        (Printf.sprintf ",\"cat\":\"link\",\"ph\":\"s\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":%d}"
            id ts src_tenant src_req);
       sep ();
       Buffer.add_string buf "{\"name\":";
       add_json_string buf name;
       Buffer.add_string buf
         (Printf.sprintf
-           ",\"cat\":\"link\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":%Ld}"
+           ",\"cat\":\"link\",\"ph\":\"f\",\"bp\":\"e\",\"id\":%d,\"ts\":%s,\"pid\":%d,\"tid\":%d}"
            id ts dst_tenant dst_req))
     (Telemetry.links tel);
   (* Remediation applications as instants on the fault/alert row. *)

@@ -10,8 +10,8 @@ open Reflex_engine
 
 type request = {
   r_tenant : int;
-  r_req_id : int64;
-  r_stamps : int64 array;  (** [Stage.count] entries; [-1L] = not seen *)
+  r_req_id : int;
+  r_stamps : Time.t array;  (** [Stage.count] entries; negative = not seen *)
 }
 
 (** All requests reconstructible from the retained span window, in
@@ -22,7 +22,7 @@ val complete : request -> bool
 
 type breakdown = {
   b_tenant : int;
-  b_req_id : int64;
+  b_req_id : int;
   b_start : Time.t;
   b_total : Time.t;  (** end-to-end client latency *)
   b_components : Time.t array;
@@ -59,7 +59,7 @@ val component_report : Telemetry.t -> string
 
 (** [(tenant, [attempt-0 req_id; attempt-1; ...])] per chain, in
     first-link order (deterministic). *)
-val retry_chains : Telemetry.t -> (int * int64 list) list
+val retry_chains : Telemetry.t -> (int * int list) list
 
 (** Chain listing capped at [top] (default 20) with total/longest
     counts in the header. *)

@@ -341,7 +341,7 @@ let test_e2e_raw_io_on_unregistered_conn_denied () =
   Server.accept server conn;
   let got = ref None in
   Tcp_conn.set_client_handler conn (fun msg ~size:_ -> got := Some msg);
-  let msg = Message.Read_req { handle = 1; req_id = 9L; lba = 0L; len = 4096 } in
+  let msg = Message.Read_req { handle = 1; req_id = 9; lba = 0L; len = 4096 } in
   Tcp_conn.send_to_server conn ~size:(Codec.encoded_size msg) msg;
   ignore (Sim.run sim);
   match !got with

@@ -8,21 +8,25 @@ let check_float = Alcotest.(check (float 1e-9))
 (* Time                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let ns = Time.ns
+let time = Test_util.time
+
 let test_time_constructors () =
-  Alcotest.(check int64) "us" 1_000L (Time.us 1);
-  Alcotest.(check int64) "ms" 1_000_000L (Time.ms 1);
-  Alcotest.(check int64) "sec" 1_000_000_000L (Time.sec 1);
-  Alcotest.(check int64) "of_float_us rounds" 1_500L (Time.of_float_us 1.5);
-  check_float "to_float_us" 2.5 (Time.to_float_us 2_500L)
+  Alcotest.check time "us" (ns 1_000) (Time.us 1);
+  Alcotest.check time "ms" (ns 1_000_000) (Time.ms 1);
+  Alcotest.check time "sec" (ns 1_000_000_000) (Time.sec 1);
+  Alcotest.check time "of_float_us rounds" (ns 1_500) (Time.of_float_us 1.5);
+  check_float "to_float_us" 2.5 (Time.to_float_us (ns 2_500));
+  Alcotest.(check int) "infinity is max_int" max_int (Time.infinity :> int)
 
 let test_time_arith () =
-  Alcotest.(check int64) "add" 30L (Time.add 10L 20L);
-  Alcotest.(check int64) "sub" 10L (Time.sub 30L 20L);
-  Alcotest.(check int64) "scale" 15L (Time.scale 10L 1.5);
-  Alcotest.(check bool) "lt" true Time.(5L < 6L);
-  Alcotest.(check bool) "ge" true Time.(6L >= 6L);
-  Alcotest.(check int64) "max" 6L (Time.max 5L 6L);
-  Alcotest.(check int64) "min" 5L (Time.min 5L 6L)
+  Alcotest.check time "add" (ns 30) (Time.add (ns 10) (ns 20));
+  Alcotest.check time "sub" (ns 10) (Time.sub (ns 30) (ns 20));
+  Alcotest.check time "scale" (ns 15) (Time.scale (ns 10) 1.5);
+  Alcotest.(check bool) "lt" true Time.(ns 5 < ns 6);
+  Alcotest.(check bool) "ge" true Time.(ns 6 >= ns 6);
+  Alcotest.check time "max" (ns 6) (Time.max (ns 5) (ns 6));
+  Alcotest.check time "min" (ns 5) (Time.min (ns 5) (ns 6))
 
 let test_time_pp () =
   Alcotest.(check string) "ns" "500ns" (Time.to_string (Time.ns 500));
@@ -38,6 +42,32 @@ let test_prng_determinism () =
   for _ = 1 to 100 do
     Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
   done
+
+(* The splitmix64 stream is part of every recorded digest: its first
+   outputs for a fixed seed are pinned to the reference values. *)
+let test_prng_pinned_stream () =
+  let p = Prng.create 42L in
+  List.iteri
+    (fun i expected ->
+      Alcotest.(check int64) (Printf.sprintf "bits64 #%d" i) expected (Prng.bits64 p))
+    [
+      0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L; 0x581CE1FF0E4AE394L;
+      0x09BC585A244823F2L; 0xDE4431FA3C80DB06L; 0x37E9671C45376D5DL; 0xCCF635EE9E9E2FA4L;
+      0x5705B8770B3D7DD5L; 0x9E54D738297F77AEL; 0x3474724A775B19BFL; 0x7E348A0E451650BEL;
+      0x836DED897F3E46E6L; 0x851F977347ED6DB7L; 0xAA47E31C02E78EDCL; 0x341452C54D7C33F2L;
+    ]
+
+(* [int] draws keep the splitmix64 state unboxed end to end. *)
+let test_prng_int_allocation_free () =
+  let p = Prng.create 7L in
+  let acc = ref 0 in
+  let words =
+    Test_util.minor_words (fun () ->
+        for _ = 1 to 10_000 do
+          acc := !acc + Prng.int p 1000
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words for 10k Prng.int draws" 0.0 words
 
 let test_prng_split_independent () =
   let a = Prng.create 42L in
@@ -112,9 +142,9 @@ let prop_prng_int_bounds =
 
 let test_heap_ordering () =
   let h = Heap.create () in
-  Heap.push h ~time:30L ~seq:0 "c";
-  Heap.push h ~time:10L ~seq:1 "a";
-  Heap.push h ~time:20L ~seq:2 "b";
+  Heap.push h ~time:(ns 30) ~seq:0 "c";
+  Heap.push h ~time:(ns 10) ~seq:1 "a";
+  Heap.push h ~time:(ns 20) ~seq:2 "b";
   let pop () =
     match Heap.pop h with Some (_, _, v) -> v | None -> Alcotest.fail "empty"
   in
@@ -126,7 +156,7 @@ let test_heap_ordering () =
 let test_heap_fifo_ties () =
   let h = Heap.create () in
   for i = 0 to 9 do
-    Heap.push h ~time:5L ~seq:i i
+    Heap.push h ~time:(ns 5) ~seq:i i
   done;
   for i = 0 to 9 do
     match Heap.pop h with
@@ -139,29 +169,33 @@ let prop_heap_sorts =
     QCheck.(list (int_range 0 1_000_000))
     (fun times ->
       let h = Heap.create () in
-      List.iteri (fun i x -> Heap.push h ~time:(Int64.of_int x) ~seq:i ()) times;
+      List.iteri (fun i x -> Heap.push h ~time:(ns x) ~seq:i ()) times;
       let rec drain acc =
         match Heap.pop h with
-        | Some (t, _, ()) -> drain (t :: acc)
+        | Some (t, _, ()) -> drain ((t :> int) :: acc)
         | None -> List.rev acc
       in
       let popped = drain [] in
-      let sorted = List.sort Int64.compare (List.map Int64.of_int times) in
+      let sorted = List.sort compare times in
       popped = sorted)
 
 let test_heap_pop_if_le_horizon () =
   let h = Heap.create () in
-  Heap.push h ~time:10L ~seq:0 "a";
-  Heap.push h ~time:20L ~seq:1 "b";
-  Alcotest.(check bool) "min beyond horizon" true (Heap.pop_if_le h ~until:5L = None);
+  Heap.push h ~time:(ns 10) ~seq:0 1;
+  Heap.push h ~time:(ns 20) ~seq:1 2;
+  Alcotest.(check int) "min beyond horizon" (-1) (Heap.pop_if_le h ~until:(ns 5));
   Alcotest.(check int) "nothing popped" 2 (Heap.length h);
-  (match Heap.pop_if_le h ~until:10L with
-  | Some (10L, _, "a") -> ()
-  | _ -> Alcotest.fail "expected (10, a) at an inclusive horizon");
-  (match Heap.pop_if_le h ~until:Time.infinity with
-  | Some (20L, _, "b") -> ()
-  | _ -> Alcotest.fail "expected (20, b)");
-  Alcotest.(check bool) "empty heap" true (Heap.pop_if_le h ~until:Time.infinity = None)
+  Alcotest.(check int) "inclusive horizon pops 1" 1 (Heap.pop_if_le h ~until:(ns 10));
+  Alcotest.check time "popped time 10" (ns 10) (Heap.popped_time h);
+  Alcotest.(check int) "pops 2" 2 (Heap.pop_if_le h ~until:Time.infinity);
+  Alcotest.check time "popped time 20" (ns 20) (Heap.popped_time h);
+  Alcotest.(check int) "popped seq" 1 (Heap.popped_seq h);
+  Alcotest.(check int) "empty heap" (-1) (Heap.pop_if_le h ~until:Time.infinity)
+
+(* pop_if_le's result as the option the reference yields. *)
+let pop_if_le_opt h ~until =
+  let v = Heap.pop_if_le h ~until in
+  if v < 0 then None else Some (Heap.popped_time h, Heap.popped_seq h, v)
 
 (* The reference semantics pop_if_le must match: a peek guard before pop. *)
 let guarded_pop h ~until =
@@ -181,13 +215,13 @@ let prop_heap_pop_if_le_matches_guarded_pop =
       let h1 = Heap.create () and h2 = Heap.create () in
       List.iteri
         (fun i x ->
-          Heap.push h1 ~time:(Int64.of_int x) ~seq:i i;
-          Heap.push h2 ~time:(Int64.of_int x) ~seq:i i)
+          Heap.push h1 ~time:(ns x) ~seq:i i;
+          Heap.push h2 ~time:(ns x) ~seq:i i)
         times;
       List.for_all
         (fun u ->
-          let until = Int64.of_int u in
-          Heap.pop_if_le h1 ~until = guarded_pop h2 ~until)
+          let until = ns u in
+          pop_if_le_opt h1 ~until = guarded_pop h2 ~until)
         probes
       && Heap.length h1 = Heap.length h2)
 
@@ -197,7 +231,7 @@ let test_heap_clear_releases_values () =
   for i = 0 to 3 do
     let v = ref i in
     Weak.set w i (Some v);
-    Heap.push h ~time:(Int64.of_int i) ~seq:i v
+    Heap.push h ~time:(ns i) ~seq:i v
   done;
   Heap.clear h;
   Gc.full_major ();
@@ -205,9 +239,9 @@ let test_heap_clear_releases_values () =
     Alcotest.(check bool) "cleared value collected" false (Weak.check w i)
   done;
   Alcotest.(check int) "empty after clear" 0 (Heap.length h);
-  Heap.push h ~time:1L ~seq:0 (ref 9);
+  Heap.push h ~time:(ns 1) ~seq:0 (ref 9);
   (match Heap.pop h with
-  | Some (1L, 0, { contents = 9 }) -> ()
+  | Some (t, 0, { contents = 9 }) when Time.equal t (ns 1) -> ()
   | _ -> Alcotest.fail "heap unusable after clear")
 
 let test_heap_pop_blanks_slots () =
@@ -216,7 +250,7 @@ let test_heap_pop_blanks_slots () =
   for i = 0 to 7 do
     let v = ref i in
     Weak.set w i (Some v);
-    Heap.push h ~time:(Int64.of_int i) ~seq:i v
+    Heap.push h ~time:(ns i) ~seq:i v
   done;
   for _ = 0 to 7 do
     ignore (Heap.pop h)
@@ -235,7 +269,7 @@ let test_heap_pop_blanks_slots () =
 let test_heap_clear_keeps_capacity () =
   let h = Heap.create () in
   for i = 0 to 99 do
-    Heap.push h ~time:(Int64.of_int i) ~seq:i i
+    Heap.push h ~time:(ns i) ~seq:i i
   done;
   let cap = Heap.capacity h in
   Alcotest.(check bool) "grown beyond seed" true (cap >= 100);
@@ -243,7 +277,7 @@ let test_heap_clear_keeps_capacity () =
   Alcotest.(check int) "capacity preserved by clear" cap (Heap.capacity h);
   Alcotest.(check int) "empty after clear" 0 (Heap.length h);
   for i = 0 to 99 do
-    Heap.push h ~time:(Int64.of_int i) ~seq:i i
+    Heap.push h ~time:(ns i) ~seq:i i
   done;
   Alcotest.(check int) "no re-growth on refill" cap (Heap.capacity h)
 
@@ -253,9 +287,9 @@ let test_heap_clear_keeps_capacity () =
 
 let test_wheel_ordering () =
   let w = Wheel.create () in
-  Wheel.push w ~time:30L ~seq:0 3;
-  Wheel.push w ~time:10L ~seq:1 1;
-  Wheel.push w ~time:20L ~seq:2 2;
+  Wheel.push w ~time:(ns 30) ~seq:0 3;
+  Wheel.push w ~time:(ns 10) ~seq:1 1;
+  Wheel.push w ~time:(ns 20) ~seq:2 2;
   let pop () =
     match Wheel.pop w with Some (_, _, v) -> v | None -> Alcotest.fail "empty"
   in
@@ -267,7 +301,7 @@ let test_wheel_ordering () =
 let test_wheel_fifo_ties () =
   let w = Wheel.create () in
   for i = 0 to 9 do
-    Wheel.push w ~time:5L ~seq:i i
+    Wheel.push w ~time:(ns 5) ~seq:i i
   done;
   for i = 0 to 9 do
     match Wheel.pop w with
@@ -277,17 +311,15 @@ let test_wheel_fifo_ties () =
 
 let test_wheel_pop_if_le_horizon () =
   let w = Wheel.create () in
-  Wheel.push w ~time:10L ~seq:0 1;
-  Wheel.push w ~time:20L ~seq:1 2;
-  Alcotest.(check bool) "min beyond horizon" true (Wheel.pop_if_le w ~until:5L = None);
+  Wheel.push w ~time:(ns 10) ~seq:0 1;
+  Wheel.push w ~time:(ns 20) ~seq:1 2;
+  Alcotest.(check int) "min beyond horizon" (-1) (Wheel.pop_if_le w ~until:(ns 5));
   Alcotest.(check int) "nothing popped" 2 (Wheel.length w);
-  (match Wheel.pop_if_le w ~until:10L with
-  | Some (10L, _, 1) -> ()
-  | _ -> Alcotest.fail "expected (10, 1) at an inclusive horizon");
-  (match Wheel.pop_if_le w ~until:Time.infinity with
-  | Some (20L, _, 2) -> ()
-  | _ -> Alcotest.fail "expected (20, 2)");
-  Alcotest.(check bool) "empty wheel" true (Wheel.pop_if_le w ~until:Time.infinity = None)
+  Alcotest.(check int) "inclusive horizon pops 1" 1 (Wheel.pop_if_le w ~until:(ns 10));
+  Alcotest.check time "popped time 10" (ns 10) (Wheel.popped_time w);
+  Alcotest.(check int) "pops 2" 2 (Wheel.pop_if_le w ~until:Time.infinity);
+  Alcotest.check time "popped time 20" (ns 20) (Wheel.popped_time w);
+  Alcotest.(check int) "empty wheel" (-1) (Wheel.pop_if_le w ~until:Time.infinity)
 
 let test_wheel_cross_level_and_overflow () =
   (* One event per wheel level, one beyond the ~73 min in-wheel horizon
@@ -307,7 +339,7 @@ let test_wheel_cross_level_and_overflow () =
     | None -> ()
   in
   drain ();
-  Alcotest.(check (list (pair int64 int)))
+  Alcotest.(check (list (pair Test_util.time int)))
     "cross-level pops in time order"
     (List.mapi (fun i t -> (t, i)) times)
     (List.rev !popped)
@@ -319,7 +351,7 @@ let test_wheel_push_below_cursor () =
   Wheel.push w ~time:(Time.us 10) ~seq:0 0;
   Wheel.push w ~time:(Time.us 40) ~seq:1 1;
   (match Wheel.pop w with
-  | Some (t, _, 0) -> Alcotest.(check int64) "first pop" (Time.us 10) t
+  | Some (t, _, 0) -> Alcotest.check time "first pop" (Time.us 10) t
   | _ -> Alcotest.fail "expected first event");
   Wheel.push w ~time:(Time.us 20) ~seq:2 2;
   Wheel.push w ~time:(Time.us 15) ~seq:3 3;
@@ -332,19 +364,33 @@ let test_wheel_push_below_cursor () =
     | None -> ()
   in
   drain ();
-  Alcotest.(check (list int)) "below-cursor pushes ordered" [ 3; 2; 1 ] (List.rev !order)
+  Alcotest.(check (list int)) "below-cursor pushes ordered" [ 3; 2; 1 ] (List.rev !order);
+  (* A burst at the instant just popped lands below the cursor (its slot
+     was drained) and interleaves by sequence number with the entry of
+     the same instant still in the ready buffer. *)
+  let w = Wheel.create () in
+  Wheel.push w ~time:(Time.us 10) ~seq:0 0;
+  Wheel.push w ~time:(Time.us 10) ~seq:1 1;
+  ignore (Wheel.pop w);
+  for s = 2 to 5 do
+    Wheel.push w ~time:(Time.us 10) ~seq:s s
+  done;
+  Wheel.push w ~time:(ns 9_999) ~seq:6 6;
+  let rec drain acc = match Wheel.pop w with Some (_, _, v) -> drain (v :: acc) | None -> acc in
+  Alcotest.(check (list int)) "same-instant burst below the cursor" [ 6; 1; 2; 3; 4; 5 ]
+    (List.rev (drain []))
 
 let test_wheel_clear_reuse () =
   let w = Wheel.create () in
   for i = 0 to 99 do
-    Wheel.push w ~time:(Int64.of_int ((i * 7919) land 0xFFFFF)) ~seq:i i
+    Wheel.push w ~time:(ns ((i * 7919) land 0xFFFFF)) ~seq:i i
   done;
   ignore (Wheel.pop w);
   Wheel.clear w;
   Alcotest.(check int) "empty after clear" 0 (Wheel.length w);
-  Wheel.push w ~time:5L ~seq:0 42;
+  Wheel.push w ~time:(ns 5) ~seq:0 42;
   (match Wheel.pop w with
-  | Some (5L, 0, 42) -> ()
+  | Some (t, 0, 42) when Time.equal t (ns 5) -> ()
   | _ -> Alcotest.fail "wheel unusable after clear");
   Alcotest.(check bool) "drained" true (Wheel.is_empty w)
 
@@ -381,13 +427,15 @@ let prop_wheel_matches_heap =
         (fun op ->
           match op with
           | QPush ti ->
-            let time = Int64.of_int ti in
+            let time = ns ti in
             Heap.push h ~time ~seq:!seq !seq;
             Wheel.push w ~time ~seq:!seq !seq;
             incr seq
           | QPopLe u ->
-            let until = Int64.of_int u in
-            if Heap.pop_if_le h ~until <> Wheel.pop_if_le w ~until then ok := false
+            let until = ns u in
+            let a = Heap.pop_if_le h ~until and b = Wheel.pop_if_le w ~until in
+            if a <> b || (a >= 0 && not (Time.equal (Heap.popped_time h) (Wheel.popped_time w)))
+            then ok := false
           | QPop -> if Heap.pop h <> Wheel.pop w then ok := false)
         ops;
       let rec drain () =
@@ -409,7 +457,7 @@ let test_sim_ordering () =
   ignore (Sim.at sim (Time.us 20) (fun () -> log := 2 :: !log));
   ignore (Sim.run sim);
   Alcotest.(check (list int)) "events in time order" [ 1; 2; 3 ] (List.rev !log);
-  Alcotest.(check int64) "clock at last event" (Time.us 30) (Sim.now sim)
+  Alcotest.check time "clock at last event" (Time.us 30) (Sim.now sim)
 
 let test_sim_cancel () =
   let sim = Sim.create () in
@@ -474,7 +522,7 @@ let test_sim_nested_scheduling () =
          ignore (Sim.after sim (Time.us 5) (fun () -> log := "inner" :: !log))));
   ignore (Sim.run sim);
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
-  Alcotest.(check int64) "clock" (Time.us 15) (Sim.now sim)
+  Alcotest.check time "clock" (Time.us 15) (Sim.now sim)
 
 let test_sim_past_raises () =
   let sim = Sim.create () in
@@ -489,7 +537,7 @@ let test_sim_every () =
   let ticks = ref [] in
   Sim.every sim ~every:(Time.us 10) ~until:(Time.us 45) (fun t -> ticks := t :: !ticks);
   ignore (Sim.run sim);
-  Alcotest.(check (list int64))
+  Alcotest.(check (list Test_util.time))
     "periodic ticks"
     [ Time.us 10; Time.us 20; Time.us 30; Time.us 40 ]
     (List.rev !ticks)
@@ -498,7 +546,7 @@ let test_sim_run_advances_clock_to_until () =
   let sim = Sim.create () in
   ignore (Sim.at sim (Time.us 1) (fun () -> ()));
   ignore (Sim.run ~until:(Time.ms 1) sim);
-  Alcotest.(check int64) "clock hits until" (Time.ms 1) (Sim.now sim)
+  Alcotest.check time "clock hits until" (Time.ms 1) (Sim.now sim)
 
 let test_sim_every_nonpositive_raises () =
   let sim = Sim.create () in
@@ -515,7 +563,7 @@ let test_sim_every_until_before_first_tick () =
 
 let test_sim_every_overflow_guard () =
   (* A period of Time.infinity: the first tick lands exactly at infinity;
-     computing the second would wrap int64.  The guard must stop the chain
+     computing the second would wrap the int.  The guard must stop the chain
      instead of raising "scheduling in the past" from inside the loop. *)
   let sim = Sim.create () in
   let ticks = ref 0 in
@@ -554,7 +602,42 @@ let test_sim_wheel_backend_runs () =
   Sim.every_daemon sim ~every:(Time.us 7) (fun _ -> ());
   ignore (Sim.run sim);
   Alcotest.(check (list int)) "events in time order" [ 1; 2; 3 ] (List.rev !log);
-  Alcotest.(check int64) "clock at last event" (Time.us 30) (Sim.now sim)
+  Alcotest.check time "clock at last event" (Time.us 30) (Sim.now sim)
+
+(* The event loop allocates nothing per event: with a preallocated
+   self-rescheduling action, [Sim.run] pops the slot and the time without
+   building an option or a tuple, and time is an immediate int.  The
+   first run grows the arena and the queue (cold paths); the measured
+   second run must not allocate at all. *)
+let sim_run_words_per_event backend =
+  let sim = Sim.create ~backend () in
+  let remaining = ref 0 in
+  let rec act () =
+    if !remaining > 0 then begin
+      decr remaining;
+      ignore (Sim.after sim (Time.ns 700) act)
+    end
+  in
+  let batch n =
+    remaining := n;
+    for _ = 1 to 16 do
+      ignore (Sim.after sim (Time.ns 100) act)
+    done;
+    Sim.run sim
+  in
+  ignore (batch 20_000);
+  let executed = ref 0 in
+  let words = Test_util.minor_words (fun () -> executed := batch 50_000) in
+  Alcotest.(check bool) "events ran" true (!executed > 50_000);
+  words /. float_of_int !executed
+
+let test_sim_run_allocation_free () =
+  List.iter
+    (fun (name, backend) ->
+      Alcotest.(check (float 0.0))
+        (name ^ ": minor words per event")
+        0.0 (sim_run_words_per_event backend))
+    [ ("heap", Sim.Heap); ("wheel", Sim.Wheel) ]
 
 (* Full Sim-level backend equivalence: identical schedule / nested
    schedule / cancel plans must execute the same events at the same
@@ -571,15 +654,15 @@ let prop_sim_backends_equivalent =
           (fun i (t, k) ->
             if k < 7 then begin
               let ev =
-                Sim.at sim (Int64.of_int t) (fun () ->
-                    Buffer.add_string log (Printf.sprintf "%d@%Ld;" i (Sim.now sim));
+                Sim.at sim (ns t) (fun () ->
+                    Buffer.add_string log (Printf.sprintf "%d@%d;" i (Sim.now sim :> int));
                     if k mod 3 = 0 then
                       ignore
                         (Sim.after sim
-                           (Int64.of_int ((i * 17) + 1))
+                           (ns ((i * 17) + 1))
                            (fun () ->
                              Buffer.add_string log
-                               (Printf.sprintf "n%d@%Ld;" i (Sim.now sim)))))
+                               (Printf.sprintf "n%d@%d;" i (Sim.now sim :> int)))))
               in
               evs := ev :: !evs
             end
@@ -608,7 +691,7 @@ let test_resource_single_server_fifo () =
   done;
   ignore (Sim.run sim);
   let expected = [ (1, Time.us 10); (2, Time.us 20); (3, Time.us 30) ] in
-  Alcotest.(check (list (pair int int64))) "sequential service" expected (List.rev !finishes)
+  Alcotest.(check (list (pair int Test_util.time))) "sequential service" expected (List.rev !finishes)
 
 let test_resource_parallel_servers () =
   let sim = Sim.create () in
@@ -622,7 +705,7 @@ let test_resource_parallel_servers () =
   let expected =
     [ (1, Time.us 10); (2, Time.us 10); (3, Time.us 20); (4, Time.us 20) ]
   in
-  Alcotest.(check (list (pair int int64))) "two at a time" expected (List.rev !finishes)
+  Alcotest.(check (list (pair int Test_util.time))) "two at a time" expected (List.rev !finishes)
 
 let test_resource_priority () =
   let sim = Sim.create () in
@@ -650,7 +733,7 @@ let test_resource_nonpreemptive () =
          Resource.submit r ~priority:Resource.High ~service:(Time.us 1)
            (fun ~started ~finished:_ -> high_started := started)));
   ignore (Sim.run sim);
-  Alcotest.(check int64) "high waits behind in-service low" (Time.ms 5) !high_started
+  Alcotest.check time "high waits behind in-service low" (Time.ms 5) !high_started
 
 let test_resource_utilization () =
   let sim = Sim.create () in
@@ -698,6 +781,8 @@ let suite =
     ( "prng",
       [
         Alcotest.test_case "determinism" `Quick test_prng_determinism;
+        Alcotest.test_case "pinned splitmix64 stream" `Quick test_prng_pinned_stream;
+        Alcotest.test_case "int draws allocate nothing" `Quick test_prng_int_allocation_free;
         Alcotest.test_case "split independence" `Quick test_prng_split_independent;
         Alcotest.test_case "float in range" `Quick test_prng_float_range;
         Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
@@ -748,6 +833,7 @@ let suite =
           test_sim_live_pending_excludes_cancelled;
         Alcotest.test_case "backend selection" `Quick test_sim_backend_selection;
         Alcotest.test_case "wheel backend runs" `Quick test_sim_wheel_backend_runs;
+        Alcotest.test_case "run allocates nothing per event" `Quick test_sim_run_allocation_free;
         qcheck prop_sim_backends_equivalent;
       ] );
     ( "resource",

@@ -22,8 +22,8 @@ let test_plan_scripted_valid () =
   let compressed = Fault_plan.scripted ~scale:0.1 () in
   List.iter2
     (fun (a : Fault_plan.window) (b : Fault_plan.window) ->
-      Alcotest.(check int64) "start scales" (Time.scale a.at 0.1) b.at;
-      Alcotest.(check int64) "duration scales" (Time.scale a.duration 0.1) b.duration)
+      Alcotest.check Test_util.time "start scales" (Time.scale a.at 0.1) b.at;
+      Alcotest.check Test_util.time "duration scales" (Time.scale a.duration 0.1) b.duration)
     plan compressed;
   Alcotest.(check bool) "printable" true (String.length (Fault_plan.to_string plan) > 0)
 
@@ -125,8 +125,8 @@ let test_injector_die_fail_repricing () =
   (match Reflex_telemetry.Telemetry.fault_windows telemetry with
   | [ (label, start, Some stop) ] ->
     Alcotest.(check string) "label" "die_fail(0)" label;
-    Alcotest.(check int64) "start" (Time.ms 1) start;
-    Alcotest.(check int64) "stop" (Time.ms 6) stop
+    Alcotest.check Test_util.time "start" (Time.ms 1) start;
+    Alcotest.check Test_util.time "stop" (Time.ms 6) stop
   | _ -> Alcotest.fail "expected exactly one closed fault window");
   let cv name =
     int_of_float

@@ -57,6 +57,22 @@ let test_hot_alloc () =
   check_findings "bad fires" [ ("hot/alloc", 4) ] "lint_fixtures/bad_hot_alloc.ml";
   check_findings "clean silent" [] "lint_fixtures/clean_hot_alloc.ml"
 
+(* In-place String/Bytes accessors (the unboxed PRNG state's 64-bit
+   reads and writes) are not allocations; building a string still is. *)
+let test_hot_alloc_byte_accessors () =
+  let m, diags = Lint_manifest.parse ~file:"m" "hot_path b.ml step — fixture: byte accessors\n" in
+  Alcotest.(check int) "manifest parses" 0 (List.length diags);
+  let src =
+    Lint_source.of_string ~rel:"b.ml"
+      "let step b =\n\
+      \  Bytes.set_int64_ne b 0 (Int64.add (Bytes.get_int64_ne b 0) 1L);\n\
+      \  Bytes.set b 8 (Bytes.get b 9);\n\
+      \  Bytes.create (Bytes.length b)\n"
+  in
+  let r = Lint_driver.run_on_source ~manifest:m src in
+  Alcotest.(check (list finding)) "only the fresh buffer is a finding" [ ("hot/alloc", 4) ]
+    (rule_lines r)
+
 (* Without a manifest hot_path entry the same file is silent: the rule is
    opt-in per function. *)
 let test_hot_alloc_opt_in () =
@@ -292,6 +308,7 @@ let suite =
         Alcotest.test_case "guard/telemetry fixtures" `Quick test_guard;
         Alcotest.test_case "hot/alloc fixtures" `Quick test_hot_alloc;
         Alcotest.test_case "hot/alloc is manifest-opt-in" `Quick test_hot_alloc_opt_in;
+        Alcotest.test_case "hot/alloc skips byte accessors" `Quick test_hot_alloc_byte_accessors;
       ] );
     ( "waivers",
       [

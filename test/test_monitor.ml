@@ -58,11 +58,11 @@ let test_tsdb_windows () =
   Tsdb.register_derived ts "twice_g" (fun w ->
       2.0 *. Option.value ~default:0.0 (Tsdb.value w "g"));
   c := 10.0;
-  Hdr_histogram.record h 100L;
-  Hdr_histogram.record h 200L;
+  Hdr_histogram.record h 100;
+  Hdr_histogram.record h 200;
   Tsdb.tick ts ~now:(Time.ms 1);
   c := 25.0;
-  Hdr_histogram.record h 5000L;
+  Hdr_histogram.record h 5000;
   Tsdb.tick ts ~now:(Time.ms 2);
   Alcotest.(check int) "two windows" 2 (Tsdb.window_count ts);
   let w1, w2 =
@@ -254,7 +254,7 @@ let test_prom_export () =
   Reflex_telemetry.Telemetry.add (Reflex_telemetry.Telemetry.counter tel "faults/injected") 3.0;
   Reflex_telemetry.Telemetry.register_gauge tel "core/util" (fun () -> 0.5);
   let h = Reflex_telemetry.Telemetry.histogram tel "flash/read_ns" in
-  Hdr_histogram.record h 90_000L;
+  Hdr_histogram.record h 90_000;
   let page = Prom_export.render tel in
   List.iter
     (fun needle ->

@@ -48,7 +48,7 @@ let test_serialization_time () =
   let _, fabric = make_fabric () in
   (* 4096 B at 10 Gb/s = 3276.8 ns *)
   let t = Fabric.serialization_time fabric ~bytes:4096 in
-  Alcotest.(check int64) "4KB at 10GbE" 3277L t
+  Alcotest.check Test_util.time "4KB at 10GbE" (Time.ns 3277) t
 
 let test_transmit_latency () =
   let sim, fabric = make_fabric () in

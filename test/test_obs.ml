@@ -172,6 +172,20 @@ let test_obs_dump_determinism () =
   Alcotest.(check bool) "debrief verdict" true (contains s "OBS OK");
   Alcotest.(check bool) "no failure line" false (contains s "OBS FAILED")
 
+(* An armed record is five stores into immediate-int and float arrays
+   plus counter bumps: no box per record (times are immediate ints) and
+   no allocation at all. *)
+let test_record_allocation_free () =
+  let fl = Flight.create ~capacity:1024 () in
+  let words =
+    Test_util.minor_words (fun () ->
+        for i = 1 to 10_000 do
+          Flight.record fl ~now:(Time.ns i) ~kind:Flight.Kind.Grant ~a:i ~b:(i + 1) ~v:0.25
+        done)
+  in
+  Alcotest.(check int) "recorded" 10_000 (Flight.total fl);
+  Alcotest.(check (float 0.0)) "minor words for 10k armed records" 0.0 words
+
 let suite =
   [
     ( "flight",
@@ -181,6 +195,7 @@ let suite =
         Alcotest.test_case "disabled and inert recorders" `Quick test_disabled_and_inert;
         Alcotest.test_case "intern table" `Quick test_intern_labels;
         Alcotest.test_case "kind roundtrip" `Quick test_kind_roundtrip;
+        Alcotest.test_case "armed record allocates nothing" `Quick test_record_allocation_free;
       ] );
     ( "profiler",
       [ Alcotest.test_case "scope accounting" `Quick test_profiler_accounting ] );

@@ -11,17 +11,17 @@ let sample_messages =
       };
     Message.Register { tenant = 7; slo = Message.best_effort_slo };
     Message.Unregister { handle = 3 };
-    Message.Read_req { handle = 1; req_id = 99L; lba = 123_456L; len = 4096 };
-    Message.Write_req { handle = 2; req_id = 100L; lba = 0L; len = 1024 };
+    Message.Read_req { handle = 1; req_id = 99; lba = 123_456L; len = 4096 };
+    Message.Write_req { handle = 2; req_id = 100; lba = 0L; len = 1024 };
     Message.Registered { handle = 5; status = Message.Ok };
     Message.Registered { handle = 5; status = Message.No_capacity };
     Message.Unregistered { handle = 5 };
-    Message.Read_resp { req_id = 99L; status = Message.Ok; len = 4096 };
-    Message.Read_resp { req_id = 98L; status = Message.Out_of_range; len = 0 };
-    Message.Write_resp { req_id = 100L; status = Message.Ok };
-    Message.Barrier_req { handle = 3; req_id = 55L };
-    Message.Barrier_resp { req_id = 55L };
-    Message.Error_resp { req_id = 1L; status = Message.Bad_request };
+    Message.Read_resp { req_id = 99; status = Message.Ok; len = 4096 };
+    Message.Read_resp { req_id = 98; status = Message.Out_of_range; len = 0 };
+    Message.Write_resp { req_id = 100; status = Message.Ok };
+    Message.Barrier_req { handle = 3; req_id = 55 };
+    Message.Barrier_resp { req_id = 55 };
+    Message.Error_resp { req_id = 1; status = Message.Bad_request };
   ]
 
 let msg_testable = Alcotest.testable Message.pp Message.equal
@@ -37,16 +37,16 @@ let test_roundtrip_all () =
     sample_messages
 
 let test_payload_sizes () =
-  let read_req = Message.Read_req { handle = 1; req_id = 1L; lba = 0L; len = 4096 } in
+  let read_req = Message.Read_req { handle = 1; req_id = 1; lba = 0L; len = 4096 } in
   Alcotest.(check int) "read request carries no data" Codec.header_size
     (Codec.encoded_size read_req);
-  let write_req = Message.Write_req { handle = 1; req_id = 1L; lba = 0L; len = 4096 } in
+  let write_req = Message.Write_req { handle = 1; req_id = 1; lba = 0L; len = 4096 } in
   Alcotest.(check int) "write request carries data" (Codec.header_size + 4096)
     (Codec.encoded_size write_req);
-  let resp_ok = Message.Read_resp { req_id = 1L; status = Message.Ok; len = 4096 } in
+  let resp_ok = Message.Read_resp { req_id = 1; status = Message.Ok; len = 4096 } in
   Alcotest.(check int) "ok read response carries data" (Codec.header_size + 4096)
     (Codec.encoded_size resp_ok);
-  let resp_err = Message.Read_resp { req_id = 1L; status = Message.Out_of_range; len = 4096 } in
+  let resp_err = Message.Read_resp { req_id = 1; status = Message.Out_of_range; len = 4096 } in
   Alcotest.(check int) "failed read response carries none" Codec.header_size
     (Codec.encoded_size resp_err);
   (* Paper: per-4KB-request overhead is tens of bytes. *)
@@ -69,7 +69,7 @@ let test_short_buffer () =
       ignore (Codec.decode (Bytes.create 4) 0))
 
 let test_encode_into_offset () =
-  let msg = Message.Read_req { handle = 9; req_id = 5L; lba = 77L; len = 512 } in
+  let msg = Message.Read_req { handle = 9; req_id = 5; lba = 77L; len = 512 } in
   let buf = Bytes.make (Codec.header_size + 10) '\xAA' in
   let n = Codec.encode_into msg buf 10 in
   Alcotest.(check int) "bytes written" Codec.header_size n;
@@ -77,6 +77,35 @@ let test_encode_into_offset () =
   Alcotest.check msg_testable "decodes at offset" msg decoded;
   Alcotest.check_raises "no room" (Invalid_argument "Codec.encode_into: buffer too small")
     (fun () -> ignore (Codec.encode_into msg buf 11))
+
+(* Request ids are immediate ints; the wire field keeps 64 bits.  The
+   extremes of [0, max_int] roundtrip, and a wire id outside that range is
+   rejected by name instead of being truncated. *)
+let test_req_id_boundary () =
+  List.iter
+    (fun req_id ->
+      List.iter
+        (fun msg ->
+          let decoded, _ = Codec.decode (Codec.encode msg) 0 in
+          Alcotest.check msg_testable (Printf.sprintf "req_id %d roundtrips" req_id) msg decoded)
+        [
+          Message.Read_req { handle = 1; req_id; lba = 8L; len = 4096 };
+          Message.Write_resp { req_id; status = Message.Ok };
+          Message.Barrier_resp { req_id };
+        ])
+    [ 0; 1; max_int ];
+  let buf = Codec.encode (Message.Barrier_resp { req_id = 1 }) in
+  List.iter
+    (fun wire ->
+      Bytes.set_int64_le buf 8 wire;
+      Alcotest.check_raises
+        (Printf.sprintf "wire req_id %Lu rejected" wire)
+        (Invalid_argument (Printf.sprintf "Codec.decode: req_id %Lu out of range" wire))
+        (fun () -> ignore (Codec.decode buf 0)))
+    [ Int64.add (Int64.of_int max_int) 1L; -1L; Int64.min_int ];
+  Alcotest.check_raises "negative req_id refused on encode"
+    (Invalid_argument "Codec: req_id out of range") (fun () ->
+      ignore (Codec.encode (Message.Barrier_resp { req_id = -1 })))
 
 let test_framer_whole_messages () =
   let f = Framer.create () in
@@ -102,7 +131,7 @@ let test_framer_byte_by_byte () =
 
 let test_framer_partial_payload () =
   let f = Framer.create () in
-  let msg = Message.Write_req { handle = 1; req_id = 1L; lba = 0L; len = 4096 } in
+  let msg = Message.Write_req { handle = 1; req_id = 1; lba = 0L; len = 4096 } in
   let b = Codec.encode msg in
   (* Header plus half the payload: not yet a message. *)
   Framer.feed f b ~off:0 ~len:(Codec.header_size + 2048);
@@ -121,7 +150,7 @@ let test_framer_bad_slice () =
 let gen_msg =
   QCheck.Gen.(
     let status = oneofl [ Message.Ok; Message.Denied; Message.No_capacity; Message.Bad_request; Message.Out_of_range ] in
-    let id = map Int64.of_int (int_range 0 0x3FFFFFFF) in
+    let id = int_range 0 0x3FFFFFFF in
     let small = int_range 0 0xFFFFFF in
     oneof
       [
@@ -182,6 +211,7 @@ let suite =
         Alcotest.test_case "bad opcode" `Quick test_bad_opcode;
         Alcotest.test_case "short buffer" `Quick test_short_buffer;
         Alcotest.test_case "encode at offset" `Quick test_encode_into_offset;
+        Alcotest.test_case "req_id boundary" `Quick test_req_id_boundary;
         qcheck prop_codec_roundtrip;
       ] );
     ( "framer",

@@ -9,28 +9,28 @@ open Reflex_stats
 
 let test_hdr_small_exact () =
   let h = Hdr_histogram.create () in
-  List.iter (fun v -> Hdr_histogram.record h (Int64.of_int v)) [ 1; 2; 3; 4; 5 ];
+  List.iter (fun v -> Hdr_histogram.record h v) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "count" 5 (Hdr_histogram.count h);
-  Alcotest.(check int64) "p0 = min" 1L (Hdr_histogram.percentile h 0.0);
-  Alcotest.(check int64) "median" 3L (Hdr_histogram.percentile h 50.0);
-  Alcotest.(check int64) "p100 = max" 5L (Hdr_histogram.percentile h 100.0);
-  Alcotest.(check int64) "min" 1L (Hdr_histogram.min_value h);
-  Alcotest.(check int64) "max" 5L (Hdr_histogram.max_value h)
+  Alcotest.(check int) "p0 = min" 1 (Hdr_histogram.percentile h 0.0);
+  Alcotest.(check int) "median" 3 (Hdr_histogram.percentile h 50.0);
+  Alcotest.(check int) "p100 = max" 5 (Hdr_histogram.percentile h 100.0);
+  Alcotest.(check int) "min" 1 (Hdr_histogram.min_value h);
+  Alcotest.(check int) "max" 5 (Hdr_histogram.max_value h)
 
 let test_hdr_mean () =
   let h = Hdr_histogram.create () in
-  Hdr_histogram.record_n h 100L 3;
-  Hdr_histogram.record h 200L;
+  Hdr_histogram.record_n h 100 3;
+  Hdr_histogram.record h 200;
   Alcotest.(check (float 1e-9)) "mean" 125.0 (Hdr_histogram.mean h)
 
 let test_hdr_relative_error () =
   (* Large values land in log buckets; relative error must stay under ~3%. *)
   let h = Hdr_histogram.create () in
-  let v = 123_456_789L in
+  let v = 123_456_789 in
   Hdr_histogram.record h v;
   let p = Hdr_histogram.percentile h 50.0 in
   let err =
-    Int64.to_float (Int64.sub p v) /. Int64.to_float v
+    float_of_int (p - v) /. float_of_int v
   in
   Alcotest.(check bool)
     (Printf.sprintf "relative error %.4f within 3%%" err)
@@ -39,11 +39,11 @@ let test_hdr_relative_error () =
 
 let test_hdr_merge_reset () =
   let a = Hdr_histogram.create () and b = Hdr_histogram.create () in
-  Hdr_histogram.record a 10L;
-  Hdr_histogram.record b 20L;
+  Hdr_histogram.record a 10;
+  Hdr_histogram.record b 20;
   Hdr_histogram.merge ~dst:a ~src:b;
   Alcotest.(check int) "merged count" 2 (Hdr_histogram.count a);
-  Alcotest.(check int64) "merged max" 20L (Hdr_histogram.max_value a);
+  Alcotest.(check int) "merged max" 20 (Hdr_histogram.max_value a);
   Hdr_histogram.reset a;
   Alcotest.(check int) "reset count" 0 (Hdr_histogram.count a)
 
@@ -51,7 +51,7 @@ let test_hdr_empty_defined () =
   let h = Hdr_histogram.create () in
   (* Empty histogram: every percentile is the defined value 0. *)
   List.iter
-    (fun p -> Alcotest.(check int64) (Printf.sprintf "empty p%.0f" p) 0L (Hdr_histogram.percentile h p))
+    (fun p -> Alcotest.(check int) (Printf.sprintf "empty p%.0f" p) 0 (Hdr_histogram.percentile h p))
     [ 0.0; 50.0; 99.9; 100.0 ];
   Alcotest.check_raises "out-of-range p still raises"
     (Invalid_argument "Hdr_histogram.percentile: out of range") (fun () ->
@@ -61,24 +61,24 @@ let test_hdr_single_sample () =
   (* A single-sample histogram reports exactly that sample for every p,
      even when the value lands in a coarse log bucket. *)
   let h = Hdr_histogram.create () in
-  let v = 123_456_789L in
+  let v = 123_456_789 in
   Hdr_histogram.record h v;
   List.iter
-    (fun p -> Alcotest.(check int64) (Printf.sprintf "single p%.1f" p) v (Hdr_histogram.percentile h p))
+    (fun p -> Alcotest.(check int) (Printf.sprintf "single p%.1f" p) v (Hdr_histogram.percentile h p))
     [ 0.0; 0.1; 50.0; 99.9; 100.0 ]
 
 let hist_of values =
   let h = Hdr_histogram.create () in
-  List.iter (fun v -> Hdr_histogram.record h (Int64.of_int v)) values;
+  List.iter (fun v -> Hdr_histogram.record h v) values;
   h
 
 let check_hist_equal msg a b =
   Alcotest.(check int) (msg ^ ": count") (Hdr_histogram.count a) (Hdr_histogram.count b);
-  Alcotest.(check int64) (msg ^ ": min") (Hdr_histogram.min_value a) (Hdr_histogram.min_value b);
-  Alcotest.(check int64) (msg ^ ": max") (Hdr_histogram.max_value a) (Hdr_histogram.max_value b);
+  Alcotest.(check int) (msg ^ ": min") (Hdr_histogram.min_value a) (Hdr_histogram.min_value b);
+  Alcotest.(check int) (msg ^ ": max") (Hdr_histogram.max_value a) (Hdr_histogram.max_value b);
   List.iter
     (fun p ->
-      Alcotest.(check int64)
+      Alcotest.(check int)
         (Printf.sprintf "%s: p%.0f" msg p)
         (Hdr_histogram.percentile a p) (Hdr_histogram.percentile b p))
     [ 0.0; 50.0; 95.0; 99.0; 100.0 ]
@@ -86,19 +86,19 @@ let check_hist_equal msg a b =
 let test_hdr_copy_independent () =
   let h = hist_of [ 10; 20 ] in
   let c = Hdr_histogram.copy h in
-  Hdr_histogram.record h 30L;
+  Hdr_histogram.record h 30;
   Alcotest.(check int) "copy unchanged" 2 (Hdr_histogram.count c);
   Alcotest.(check int) "original grew" 3 (Hdr_histogram.count h)
 
 let test_hdr_diff_exact () =
   let h = hist_of [ 100; 100; 100 ] in
   let s = Hdr_histogram.copy h in
-  Hdr_histogram.record h 100L;
-  Hdr_histogram.record h 5000L;
+  Hdr_histogram.record h 100;
+  Hdr_histogram.record h 5000;
   let d = Hdr_histogram.diff h ~since:s in
   Alcotest.(check int) "delta count" 2 (Hdr_histogram.count d);
-  Alcotest.(check int) "delta above 100" 1 (Hdr_histogram.count_above d 100L);
-  Alcotest.(check int64) "delta min" 100L (Hdr_histogram.min_value d);
+  Alcotest.(check int) "delta above 100" 1 (Hdr_histogram.count_above d 100);
+  Alcotest.(check int) "delta min" 100 (Hdr_histogram.min_value d);
   (* diff then add-back reconstructs the original exactly *)
   Hdr_histogram.merge ~dst:s ~src:d;
   check_hist_equal "diff+merge = id" h s
@@ -112,14 +112,14 @@ let test_hdr_diff_negative_raises () =
 let test_hdr_count_above () =
   let h = hist_of (List.init 100 (fun i -> i + 1)) in
   (* values 1..100 are exact (sub-bucket range or single-unit buckets) *)
-  Alcotest.(check int) "above 50" 50 (Hdr_histogram.count_above h 50L);
-  Alcotest.(check int) "negative threshold counts all" 100 (Hdr_histogram.count_above h (-1L));
-  Alcotest.(check int) "above max" 0 (Hdr_histogram.count_above h 100L);
+  Alcotest.(check int) "above 50" 50 (Hdr_histogram.count_above h 50);
+  Alcotest.(check int) "negative threshold counts all" 100 (Hdr_histogram.count_above h (-1));
+  Alcotest.(check int) "above max" 0 (Hdr_histogram.count_above h 100);
   (* monotone non-increasing in the threshold *)
   let prev = ref max_int in
   List.iter
     (fun v ->
-      let c = Hdr_histogram.count_above h (Int64.of_int v) in
+      let c = Hdr_histogram.count_above h v in
       Alcotest.(check bool) (Printf.sprintf "monotone at %d" v) true (c <= !prev);
       prev := c)
     [ 0; 10; 25; 50; 75; 99; 1000 ]
@@ -146,7 +146,7 @@ let prop_hdr_diff_add_id =
     (fun (a, b) ->
       let h = hist_of a in
       let s = Hdr_histogram.copy h in
-      List.iter (fun v -> Hdr_histogram.record h (Int64.of_int v)) b;
+      List.iter (fun v -> Hdr_histogram.record h v) b;
       let d = Hdr_histogram.diff h ~since:s in
       let conserved =
         Hdr_histogram.count s + Hdr_histogram.count d = Hdr_histogram.count h
@@ -170,7 +170,7 @@ let prop_hdr_vs_reservoir =
       let r = Reservoir.create prng in
       List.iter
         (fun v ->
-          Hdr_histogram.record h (Int64.of_int v);
+          Hdr_histogram.record h v;
           Reservoir.add r (float_of_int v))
         values;
       (* Compare at hdr's own rank convention — the ceil-rank-th smallest
@@ -182,7 +182,7 @@ let prop_hdr_vs_reservoir =
       let n = Array.length sorted in
       List.for_all
         (fun p ->
-          let approx = Int64.to_float (Hdr_histogram.percentile h p) in
+          let approx = float_of_int (Hdr_histogram.percentile h p) in
           let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
           let exact = sorted.(max 0 (rank - 1)) in
           (* hdr reports the inclusive upper edge of the bucket holding
@@ -195,11 +195,11 @@ let prop_hdr_monotone =
     QCheck.(list_of_size Gen.(int_range 10 500) (int_range 1 10_000_000))
     (fun values ->
       let h = Hdr_histogram.create () in
-      List.iter (fun v -> Hdr_histogram.record h (Int64.of_int v)) values;
+      List.iter (fun v -> Hdr_histogram.record h v) values;
       let ps = [ 1.0; 10.0; 25.0; 50.0; 75.0; 90.0; 95.0; 99.0; 100.0 ] in
       let vals = List.map (Hdr_histogram.percentile h) ps in
       let rec monotone = function
-        | a :: (b :: _ as rest) -> Int64.compare a b <= 0 && monotone rest
+        | a :: (b :: _ as rest) -> a <= b && monotone rest
         | _ -> true
       in
       monotone vals)
@@ -316,6 +316,19 @@ let test_table_render () =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* Recording is immediate-int bucket math plus in-place counter bumps:
+   nothing is allocated per value. *)
+let test_hdr_record_allocation_free () =
+  let h = Hdr_histogram.create () in
+  let words =
+    Test_util.minor_words (fun () ->
+        for i = 1 to 10_000 do
+          Hdr_histogram.record h (i * 997)
+        done)
+  in
+  Alcotest.(check int) "recorded" 10_000 (Hdr_histogram.count h);
+  Alcotest.(check (float 0.0)) "minor words for 10k records" 0.0 words
+
 let suite =
   [
     ( "hdr_histogram",
@@ -330,6 +343,7 @@ let suite =
         Alcotest.test_case "diff is the exact delta" `Quick test_hdr_diff_exact;
         Alcotest.test_case "diff rejects non-snapshots" `Quick test_hdr_diff_negative_raises;
         Alcotest.test_case "count_above" `Quick test_hdr_count_above;
+        Alcotest.test_case "record allocates nothing" `Quick test_hdr_record_allocation_free;
         qcheck prop_hdr_merge_commutes;
         qcheck prop_hdr_diff_add_id;
         qcheck prop_hdr_vs_reservoir;

@@ -15,7 +15,7 @@ open Reflex_experiments
 let test_span_ring_wraparound () =
   let t = Telemetry.create ~span_capacity:8 () in
   for i = 0 to 19 do
-    Telemetry.span t ~now:(Int64.of_int (i * 10)) ~tenant:1 ~req_id:(Int64.of_int i)
+    Telemetry.span t ~now:(Time.ns (i * 10)) ~tenant:1 ~req_id:i
       Telemetry.Stage.Client_submit
   done;
   Alcotest.(check int) "retained" 8 (Telemetry.span_count t);
@@ -25,14 +25,14 @@ let test_span_ring_wraparound () =
      the 8 newest spans: req_ids 12..19. *)
   let seen = ref [] in
   Telemetry.iter_spans t (fun ~time:_ ~tenant:_ ~req_id ~stage:_ ->
-      seen := Int64.to_int req_id :: !seen);
+      seen := req_id :: !seen);
   Alcotest.(check (list int)) "newest kept, oldest-first" [ 12; 13; 14; 15; 16; 17; 18; 19 ]
     (List.rev !seen)
 
 let test_decision_ring_wraparound () =
   let t = Telemetry.create ~decision_capacity:4 () in
   for i = 0 to 9 do
-    Telemetry.decision t ~now:(Int64.of_int i) ~thread:0 ~tenant:i Telemetry.Decision.Throttled
+    Telemetry.decision t ~now:(Time.ns i) ~thread:0 ~tenant:i Telemetry.Decision.Throttled
       ~amount:(float_of_int i) ~tokens_after:0.0
   done;
   Alcotest.(check int) "retained" 4 (Telemetry.decision_count t);
@@ -45,12 +45,12 @@ let test_decision_ring_wraparound () =
 
 let test_disabled_noop () =
   let t = Telemetry.disabled in
-  Telemetry.span t ~now:0L ~tenant:1 ~req_id:1L Telemetry.Stage.Server_rx;
-  Telemetry.decision t ~now:0L ~thread:0 ~tenant:1 Telemetry.Decision.Donated ~amount:1.0
+  Telemetry.span t ~now:Time.zero ~tenant:1 ~req_id:1 Telemetry.Stage.Server_rx;
+  Telemetry.decision t ~now:Time.zero ~thread:0 ~tenant:1 Telemetry.Decision.Donated ~amount:1.0
     ~tokens_after:1.0;
   let c = Telemetry.counter t "x/y" in
   Telemetry.incr c;
-  Telemetry.sample t ~now:0L;
+  Telemetry.sample t ~now:Time.zero;
   Alcotest.(check bool) "disabled" false (Telemetry.enabled t);
   Alcotest.(check int) "no spans" 0 (Telemetry.span_count t);
   Alcotest.(check int) "no decisions" 0 (Telemetry.decision_count t);
@@ -63,7 +63,7 @@ let test_sample_sorted () =
   List.iter
     (fun n -> Telemetry.register_gauge t n (fun () -> 1.0))
     [ "z/last"; "a/first"; "m/mid" ];
-  Telemetry.sample t ~now:0L;
+  Telemetry.sample t ~now:Time.zero;
   match Telemetry.samples t with
   | [ s ] ->
     let names = Array.to_list (Array.map fst s.Telemetry.s_values) in
@@ -103,13 +103,13 @@ let test_components_tile () =
   Alcotest.(check bool) "some complete requests" true (List.length bds > 100);
   List.iter
     (fun b ->
-      let sum = Array.fold_left Time.add 0L b.Trace_export.b_components in
-      Alcotest.(check int64)
-        (Printf.sprintf "components sum to total (t%d req %Ld)" b.Trace_export.b_tenant
+      let sum = Array.fold_left Time.add Time.zero b.Trace_export.b_components in
+      Alcotest.(check int)
+        (Printf.sprintf "components sum to total (t%d req %d)" b.Trace_export.b_tenant
            b.Trace_export.b_req_id)
-        b.Trace_export.b_total sum;
+        (b.Trace_export.b_total :> int) (sum :> int);
       Array.iter
-        (fun c -> Alcotest.(check bool) "component non-negative" true Time.(c >= 0L))
+        (fun c -> Alcotest.(check bool) "component non-negative" true Time.(c >= zero))
         b.Trace_export.b_components)
     bds
 
@@ -314,6 +314,19 @@ let test_parallel_determinism () =
       Alcotest.(check string) (Printf.sprintf "point %d byte-identical" i) s p)
     (List.combine serial parallel)
 
+(* The armed span-ring record stores an immediate time and request id:
+   no box and no allocation per span. *)
+let test_span_record_allocation_free () =
+  let t = Telemetry.create ~span_capacity:1024 () in
+  let words =
+    Test_util.minor_words (fun () ->
+        for i = 1 to 10_000 do
+          Telemetry.span t ~now:(Time.ns i) ~tenant:3 ~req_id:i Telemetry.Stage.Server_rx
+        done)
+  in
+  Alcotest.(check int) "recorded" 10_000 (Telemetry.spans_recorded t);
+  Alcotest.(check (float 0.0)) "minor words for 10k armed spans" 0.0 words
+
 let suite =
   [
     ( "telemetry",
@@ -322,6 +335,7 @@ let suite =
         Alcotest.test_case "decision ring wraparound keeps newest" `Quick
           test_decision_ring_wraparound;
         Alcotest.test_case "disabled instance is inert" `Quick test_disabled_noop;
+        Alcotest.test_case "span record allocates nothing" `Quick test_span_record_allocation_free;
         Alcotest.test_case "samples are name-sorted" `Quick test_sample_sorted;
         Alcotest.test_case "components tile end-to-end latency" `Slow test_components_tile;
         Alcotest.test_case "chrome trace JSON round-trips" `Slow test_chrome_json_roundtrip;
