@@ -195,9 +195,9 @@ let run_cmd =
       value & flag
       & info [ "telemetry" ]
           ~doc:
-            "enable the telemetry layer (lifecycle tracing, metrics sampling, scheduler \
-             decision log) on every simulated world and print the observability reports \
-             for the last world after the run")
+            "enable the telemetry layer (lifecycle tracing, the metrics registry, and a \
+             flight ring that records the scheduler decision log) on every simulated world \
+             and print the observability reports for the last world after the run")
   in
   let run backend id full telemetry (prom_out, trace_out) =
     set_backend backend;
@@ -235,9 +235,10 @@ let run_cmd =
 let trace_cmd =
   let doc =
     "Run the canonical telemetry scenario (2 cores, 2 LC tenants with 200us/500us SLOs, \
-     2 BE write floods) with full lifecycle tracing, and emit per-request latency \
-     breakdowns, the component summary, the SLO audit, the scheduler decision log, the \
-     metrics report and a Chrome trace_event JSON."
+     2 BE write floods) with full lifecycle tracing and a flight ring, and emit \
+     per-request latency breakdowns, the component summary, the SLO audit, the scheduler \
+     decision log (the flight ring's decision records), the final metric values and a \
+     Chrome trace_event JSON."
   in
   let out_arg =
     Arg.(

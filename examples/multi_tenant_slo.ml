@@ -20,7 +20,6 @@ let run ~qos ~telemetry =
   let sim = Sim.create () in
   let fabric = Reflex_net.Fabric.create sim () in
   let server = Reflex_core.Server.create sim ~fabric ~qos ~telemetry () in
-  if Telemetry.enabled telemetry then Telemetry.start_sampler telemetry sim ();
   let connect () =
     Client_lib.connect sim fabric
       ~server_host:(Reflex_core.Server.host server)

@@ -42,8 +42,7 @@ val create :
   ?telemetry:Reflex_telemetry.Telemetry.t ->
   (* observability sink, default disabled.  When enabled the server
      threads it through the device, every dataplane thread and the QoS
-     schedulers: lifecycle spans ([Server_rx] ... [Tx_resp]), scheduler
-     decision logging, per-tenant latency histograms and an
+     schedulers: lifecycle spans ([Server_rx] ... [Tx_resp]), per-tenant latency histograms and an
      [qos/t<ID>/slo_headroom_us] gauge for LC tenants. *)
   unit ->
   t

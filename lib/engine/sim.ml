@@ -46,6 +46,11 @@ let default_backend = ref Wheel
 let set_default_backend b = default_backend := b
 let get_default_backend () = !default_backend
 
+let with_default_backend b f =
+  let saved = !default_backend in
+  default_backend := b;
+  Fun.protect ~finally:(fun () -> default_backend := saved) f
+
 (* Shared thunk so cancellation and slot recycling can drop an event's
    closure without allocating. *)
 let noop_action () = ()
@@ -179,8 +184,8 @@ let run ?(until = Time.infinity) t =
   let executed_before = t.executed in
   let continue = ref true in
   while !continue do
-    (* Stop once only daemon events remain: daemons (telemetry samplers
-       and the like) observe the simulation but never keep it alive, so
+    (* Stop once only daemon events remain: daemons (monitor ticks and
+       the like) observe the simulation but never keep it alive, so
        [run] still terminates when the real workload drains.  Unexecuted
        daemons stay queued and resume if new work arrives later. *)
     if queue_length t <= t.daemon_pending then continue := false

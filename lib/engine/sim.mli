@@ -39,6 +39,11 @@ val set_default_backend : backend -> unit
     forces a specific backend). *)
 val get_default_backend : unit -> backend
 
+(** [with_default_backend b f] runs [f ()] with [b] as the process-wide
+    default and restores the previous default afterwards, also when [f]
+    raises. *)
+val with_default_backend : backend -> (unit -> 'a) -> 'a
+
 (** Backend this simulation runs on. *)
 val backend : t -> backend
 
@@ -53,7 +58,7 @@ val at : t -> Time.t -> (unit -> unit) -> event_id
 
 (** [at_daemon t time f] schedules a {e daemon} event: it runs like a
     normal event while other work is pending, but {!run} stops as soon as
-    only daemon events remain, so daemons (telemetry samplers, monitors)
+    only daemon events remain, so daemons (monitor ticks, probes)
     never keep the simulation alive on their own.  A daemon skipped at the
     end of one [run] stays scheduled and resumes if new work arrives. *)
 val at_daemon : t -> Time.t -> (unit -> unit) -> event_id

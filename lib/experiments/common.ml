@@ -33,7 +33,15 @@ let make_reflex ?(n_threads = 1) ?max_threads ?(qos = true) ?profile ?neg_limit
   let telemetry =
     match telemetry with
     | Some t -> t
-    | None -> if !default_telemetry then Telemetry.create () else Telemetry.disabled
+    | None ->
+      if !default_telemetry then begin
+        (* The flight ring carries the scheduler decisions that the
+           [--telemetry] debrief prints. *)
+        let t = Telemetry.create () in
+        Telemetry.set_flight t (Reflex_obs.Flight.create ());
+        t
+      end
+      else Telemetry.disabled
   in
   let sim = Sim.create () in
   let fabric = Fabric.create sim () in
@@ -41,12 +49,7 @@ let make_reflex ?(n_threads = 1) ?max_threads ?(qos = true) ?profile ?neg_limit
     Reflex_core.Server.create sim ~fabric ?profile ~n_threads ?max_threads ~qos ?neg_limit
       ?donate_fraction ?seed ~telemetry ()
   in
-  if Telemetry.enabled telemetry then begin
-    (* Daemon tick: samples while real work is pending, never keeps the
-       simulation alive, never perturbs simulation state. *)
-    Telemetry.start_sampler telemetry sim ();
-    last_telemetry := Some telemetry
-  end;
+  if Telemetry.enabled telemetry then last_telemetry := Some telemetry;
   { sim; fabric; server; telemetry }
 
 type baseline_world = {
@@ -75,7 +78,7 @@ let register_sync sim client ~tenant ?slo () =
   Client_lib.register client ~tenant ?slo (fun s -> result := Some s);
   let deadline = Time.add (Sim.now sim) (Time.ms 50) in
   let rec wait () =
-    (* [live_pending] excludes telemetry daemons, which never drain. *)
+    (* [live_pending] excludes daemon events (monitor ticks), which never drain. *)
     if !result = None && Time.(Sim.now sim < deadline) && Sim.live_pending sim > 0 then begin
       ignore (Sim.run ~until:(Time.add (Sim.now sim) (Time.us 200)) sim);
       wait ()

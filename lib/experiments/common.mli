@@ -29,7 +29,8 @@ type reflex_world = {
 
 (** When set, worlds built by {!make_reflex} without an explicit
     [?telemetry] get a fresh enabled instance (one per world — safe under
-    {!Runner} domain parallelism) with the metrics sampler started.
+    {!Runner} domain parallelism) with a flight ring attached for the
+    scheduler decision log.
     Driven by the [--telemetry]/[--trace-out] CLI flags. *)
 val set_default_telemetry : bool -> unit
 

@@ -211,11 +211,6 @@ let ok r = dump_captured r && dump_names_alert r && dump_names_fault r && links_
 
 (* {1 Determinism debrief} *)
 
-let with_backend b f =
-  let saved = Sim.get_default_backend () in
-  Sim.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Sim.set_default_backend saved) f
-
 let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
   let base = run ~mode ~seed () in
   let base_render = render_result base in
@@ -228,8 +223,8 @@ let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
         (render_result r, Option.value ~default:"" (first_debrief r)))
       [ seed; seed ]
   in
-  let heap = with_backend Sim.Heap (fun () -> run ~mode ~seed ()) in
-  let wheel = with_backend Sim.Wheel (fun () -> run ~mode ~seed ()) in
+  let heap = Sim.with_default_backend Sim.Heap (fun () -> run ~mode ~seed ()) in
+  let wheel = Sim.with_default_backend Sim.Wheel (fun () -> run ~mode ~seed ()) in
   let inert = run ~mode ~seed ~flight:`Inert () in
   let bare = run ~mode ~seed ~flight:`None () in
   let rerun_ok =

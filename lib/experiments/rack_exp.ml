@@ -195,7 +195,6 @@ let bakeoff_leg ~sc ~seed ~telemetry kind =
     Rack.create sim ~n_servers:sc.s_servers ~policy:kind
       ~seed:(Int64.add seed 0x11L) ~telemetry ()
   in
-  if Telemetry.enabled telemetry then Telemetry.start_sampler telemetry sim ();
   let rates = zipf_rates ~n:sc.s_tenants ~total:(sc.s_total_kiops *. 1e3) in
   let placed = ref [] in
   for i = 0 to sc.s_tenants - 1 do
@@ -579,14 +578,8 @@ let debrief ?(mode = Common.Quick) ?(seed = 42L) () =
   Buffer.add_string buf base;
   let again = render ~mode ~seed ~jobs:1 () in
   let par = render ~mode ~seed ~jobs:2 () in
-  let saved = Sim.get_default_backend () in
-  let other = match saved with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
-  Sim.set_default_backend other;
-  let cross =
-    Fun.protect
-      ~finally:(fun () -> Sim.set_default_backend saved)
-      (fun () -> render ~mode ~seed ~jobs:1 ())
-  in
+  let other = match Sim.get_default_backend () with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
+  let cross = Sim.with_default_backend other (fun () -> render ~mode ~seed ~jobs:1 ()) in
   Printf.bprintf buf "\nDeterminism:\n";
   Printf.bprintf buf "  same-seed rerun byte-identical: %b\n" (String.equal base again);
   Printf.bprintf buf "  serial vs --jobs 2 byte-identical: %b\n" (String.equal base par);

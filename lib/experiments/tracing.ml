@@ -6,10 +6,10 @@ open Reflex_telemetry
 (* The canonical telemetry scenario: the Fig-6-style multi-tenant setup
    (two dataplane threads, two latency-critical tenants with different
    SLOs, two best-effort write floods) run with full lifecycle tracing,
-   metrics sampling and the scheduler decision log enabled.  This is what
-   `reflex_sim trace` executes: BE writes create die contention and token
-   throttling, so the per-request breakdowns and the SLO audit have
-   something real to attribute. *)
+   the metrics registry and a flight ring for the scheduler decision
+   log.  This is what `reflex_sim trace` executes: BE writes create die
+   contention and token throttling, so the per-request breakdowns and
+   the SLO audit have something real to attribute. *)
 
 type tenant_row = {
   tr_tenant : int;
@@ -22,9 +22,9 @@ type result = { telemetry : Telemetry.t; rows : tenant_row list }
 
 let run ?(mode = Common.Quick) () =
   let telemetry = Telemetry.create () in
+  Telemetry.set_flight telemetry (Reflex_obs.Flight.create ());
   let w = Common.make_reflex ~n_threads:2 ~telemetry () in
   let sim = w.Common.sim in
-  Telemetry.start_sampler telemetry sim ();
   let until = Time.add (Sim.now sim) (Time.sec 10) in
   (* Two LC tenants with distinct SLOs: a tight 200us reservation at
      60K IOPS and a looser 500us one at 30K. *)

@@ -1,7 +1,7 @@
 (** The canonical telemetry scenario for `reflex_sim trace`: a Fig-6-style
     multi-tenant run (2 cores, 2 LC tenants with 200us/500us SLOs, 2 BE
-    write floods) executed with lifecycle tracing, metrics sampling and
-    the scheduler decision log enabled. *)
+    write floods) executed with lifecycle tracing, the metrics registry and
+    a flight ring that holds the scheduler decision log. *)
 
 open Reflex_telemetry
 

@@ -28,8 +28,9 @@ module Kind = struct
     | Migrate
     | Balance
     | Hop
+    | Stage
 
-  let count = 19
+  let count = 20
 
   let to_int = function
     | Refill -> 0
@@ -51,6 +52,7 @@ module Kind = struct
     | Migrate -> 16
     | Balance -> 17
     | Hop -> 18
+    | Stage -> 19
 
   let of_int = function
     | 0 -> Refill
@@ -72,6 +74,7 @@ module Kind = struct
     | 16 -> Migrate
     | 17 -> Balance
     | 18 -> Hop
+    | 19 -> Stage
     | n -> invalid_arg (Printf.sprintf "Flight.Kind.of_int: %d" n)
 
   let name = function
@@ -94,11 +97,12 @@ module Kind = struct
     | Migrate -> "migrate"
     | Balance -> "balance"
     | Hop -> "hop"
+    | Stage -> "stage"
 
   let a_is_label = function
     | Fault_on | Fault_off | Alert_fire | Alert_resolve | Remediate | Mark -> true
     | Refill | Grant | Throttle | Deficit | Donate | Bucket_take | Bucket_reset
-    | Idle_drain | Queue_depth | Demote | Migrate | Balance | Hop ->
+    | Idle_drain | Queue_depth | Demote | Migrate | Balance | Hop | Stage ->
         false
 end
 
@@ -106,7 +110,9 @@ type t = {
   on : bool;
   capacity : int;
   times : Time.t array; (* immediate ints: a record store boxes nothing *)
-  kinds : int array;
+  (* One byte per record ([Kind.count] < 256): an eighth of an int
+     array's footprint, which keeps ring creation cheap. *)
+  kinds : Bytes.t;
   aa : int array;
   bb : int array;
   vv : float array;
@@ -129,7 +135,7 @@ let make ~enabled ~capacity =
     on = enabled;
     capacity;
     times = Array.make capacity Time.zero;
-    kinds = Array.make capacity 0;
+    kinds = Bytes.make capacity '\000';
     aa = Array.make capacity 0;
     bb = Array.make capacity 0;
     vv = Array.make capacity 0.0;
@@ -154,7 +160,7 @@ let record t ~now ~kind ~a ~b ~v =
     let i = t.next in
     let k = Kind.to_int kind in
     t.times.(i) <- now;
-    t.kinds.(i) <- k;
+    Bytes.set t.kinds i (Char.unsafe_chr k);
     t.aa.(i) <- a;
     t.bb.(i) <- b;
     t.vv.(i) <- v;
@@ -191,8 +197,9 @@ let iter t f =
   for k = 0 to n - 1 do
     let i = start + k in
     let i = if i >= t.capacity then i - t.capacity else i in
-    f ~time:t.times.(i) ~kind:(Kind.of_int t.kinds.(i)) ~a:t.aa.(i) ~b:t.bb.(i)
-      ~v:t.vv.(i)
+    f ~time:t.times.(i)
+      ~kind:(Kind.of_int (Char.code (Bytes.get t.kinds i)))
+      ~a:t.aa.(i) ~b:t.bb.(i) ~v:t.vv.(i)
   done
 
 type snapshot = {

@@ -1,8 +1,10 @@
 (** Always-on flight recorder: a fixed-size, allocation-free binary ring of
     compact dataplane records.
 
-    Unlike the span/decision rings in [lib/telemetry] — which exist only when
-    telemetry is armed — the flight recorder is designed to stay enabled in
+    This is the simulator's only event-ring implementation: [lib/telemetry]
+    keeps its lifecycle spans in a ring of its own ({!Kind.Stage} records),
+    the scheduler writes its decisions here, and the rack tracer stamps
+    {!Kind.Hop} records.  The forensic ring is designed to stay enabled in
     every run: one record is five array stores and a cursor bump, cheap
     enough to write unconditionally from the scheduler round and the
     dataplane cycle.  The ring holds the most recent [capacity] records;
@@ -50,6 +52,9 @@ module Kind : sig
         (** rack trace hop stamp: a=rack request id, b=(tenant lsl 3) lor hop
             index (0=pick 1=ingress 2=submit 3=complete 4=reply), v=per-hop
             payload (see [Rack_obs]) *)
+    | Stage
+        (** request lifecycle span: a=request id, b=(tenant lsl 3) lor stage
+            index (see [Telemetry.Stage]), v unused *)
 
   val count : int
   val to_int : t -> int

@@ -9,6 +9,16 @@
 
 open Reflex_engine
 
+(** [add_json_string buf s] appends [s] as a JSON string literal: quote,
+    backslash, newline, tab and CR get their short escapes, every other
+    control character a [\u00XX] escape.  The one JSON string escaper
+    shared by every trace and dump exporter. *)
+val add_json_string : Buffer.t -> string -> unit
+
+(** [us t] formats a sim time as microseconds with three decimals
+    (["%.3f"]), the timestamp unit of every Chrome trace and dump. *)
+val us : Time.t -> string
+
 (** The alert edge that triggered the dump: [(rule, fired_at, detail)]. *)
 type trigger = string * Time.t * string
 

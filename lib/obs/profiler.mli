@@ -13,9 +13,10 @@
 
     Scopes are coarse and non-reentrant per subsystem: [enter]/[leave]
     pairs wrap the scheduler round ([Qos]), NVMe submission ([Flash]), TCP
-    sends ([Net]), the metrics sampler ([Telemetry]), the monitor tick
-    ([Monitor]), and — from the harness side — the whole [Sim.run] loop
-    ([Engine]).  Nested scopes accumulate into their own buckets, so the
+    sends ([Net]), the monitor tick ([Monitor]), and — from the harness
+    side — the whole [Sim.run] loop ([Engine]).  No scope opens
+    [Telemetry] today; it stays so per-subsystem reports keep one row per
+    layer.  Nested scopes accumulate into their own buckets, so the
     [Engine] bucket encloses the rest; {!shares} reports Engine as the
     {e self} time left after subtracting the nested buckets. *)
 

@@ -243,7 +243,9 @@ let schedule t ~now ~submit =
   (* Read once; telemetry-off rounds pay exactly these immutable-bool
      tests and stay allocation-free.  The flight recorder has its own
      bit: it stays armed even when full telemetry is off, and its record
-     sites are plain array stores (see lib/obs/flight.ml). *)
+     sites are plain array stores (see lib/obs/flight.ml).  Its
+     Throttle/Deficit/Donate/Bucket_take/Idle_drain/Bucket_reset records
+     are the decision log that Telemetry's [decisions_report] prints. *)
   let tel_on = Telemetry.enabled t.telemetry in
   let fl = t.flight in
   let fl_on = Flight.enabled fl in
@@ -262,11 +264,7 @@ let schedule t ~now ~submit =
       t.notify_control_plane (Tenant.id tenant);
       if fl_on then
         Flight.record fl ~now ~kind:Flight.Kind.Deficit ~a:(Tenant.id tenant) ~b:t.thread_id
-          ~v:(Tenant.tokens tenant);
-      if tel_on then
-        Telemetry.decision t.telemetry ~now ~thread:t.thread_id ~tenant:(Tenant.id tenant)
-          Telemetry.Decision.Deficit_limit ~amount:t.neg_limit
-          ~tokens_after:(Tenant.tokens tenant)
+          ~v:(Tenant.tokens tenant)
     end;
     let n_lc = submit_while tenant ~floor:t.neg_limit ~submit in
     submitted := !submitted + n_lc;
@@ -275,15 +273,9 @@ let schedule t ~now ~submit =
         ~v:(Tenant.tokens tenant);
     (* Demand left after the submit loop means the balance hit the floor:
        the scheduler is actively throttling this LC tenant. *)
-    if Tenant.demand tenant > 0.0 then begin
-      if fl_on then
-        Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:(Tenant.id tenant) ~b:t.thread_id
-          ~v:(Tenant.demand tenant);
-      if tel_on then
-        Telemetry.decision t.telemetry ~now ~thread:t.thread_id ~tenant:(Tenant.id tenant)
-          Telemetry.Decision.Throttled ~amount:(Tenant.demand tenant)
-          ~tokens_after:(Tenant.tokens tenant)
-    end;
+    if fl_on && Tenant.demand tenant > 0.0 then
+      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:(Tenant.id tenant) ~b:t.thread_id
+        ~v:(Tenant.demand tenant);
     let pos_limit = Tenant.pos_limit tenant in
     if Tenant.tokens tenant > pos_limit then begin
       let donation = Tenant.tokens tenant *. t.donate_fraction in
@@ -291,10 +283,7 @@ let schedule t ~now ~submit =
       Tenant.spend_tokens tenant donation;
       if fl_on then
         Flight.record fl ~now ~kind:Flight.Kind.Donate ~a:(Tenant.id tenant) ~b:t.thread_id
-          ~v:donation;
-      if tel_on then
-        Telemetry.decision t.telemetry ~now ~thread:t.thread_id ~tenant:(Tenant.id tenant)
-          Telemetry.Decision.Donated ~amount:donation ~tokens_after:(Tenant.tokens tenant)
+          ~v:donation
     end
   done;
   (* Best-effort tenants in round-robin order (lines 13-21). *)
@@ -311,54 +300,31 @@ let schedule t ~now ~submit =
     if deficit > 0.0 then begin
       let taken = Global_bucket.try_take t.global deficit in
       Tenant.add_tokens tenant taken;
-      if taken > 0.0 then begin
-        if fl_on then
-          Flight.record fl ~now ~kind:Flight.Kind.Bucket_take ~a:(Tenant.id tenant)
-            ~b:t.thread_id ~v:taken;
-        if tel_on then
-          Telemetry.decision t.telemetry ~now ~thread:t.thread_id ~tenant:(Tenant.id tenant)
-            Telemetry.Decision.Be_bucket_take ~amount:taken
-            ~tokens_after:(Tenant.tokens tenant)
-      end
+      if fl_on && taken > 0.0 then
+        Flight.record fl ~now ~kind:Flight.Kind.Bucket_take ~a:(Tenant.id tenant)
+          ~b:t.thread_id ~v:taken
     end;
     let n_sub = submit_admissible tenant ~submit in
     submitted := !submitted + n_sub;
     if fl_on && n_sub > 0 then
       Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:(Tenant.id tenant) ~b:n_sub
         ~v:(Tenant.tokens tenant);
-    if Tenant.demand tenant > 0.0 then begin
-      if fl_on then
-        Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:(Tenant.id tenant) ~b:t.thread_id
-          ~v:(Tenant.demand tenant);
-      if tel_on then
-        Telemetry.decision t.telemetry ~now ~thread:t.thread_id ~tenant:(Tenant.id tenant)
-          Telemetry.Decision.Be_starved ~amount:(Tenant.demand tenant)
-          ~tokens_after:(Tenant.tokens tenant)
-    end;
+    if fl_on && Tenant.demand tenant > 0.0 then
+      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:(Tenant.id tenant) ~b:t.thread_id
+        ~v:(Tenant.demand tenant);
     (* DRR-inspired: no token hoarding while idle. *)
     if Tenant.tokens tenant > 0.0 && Tenant.demand tenant = 0.0 then begin
       let drained = Tenant.drain_tokens tenant in
       Global_bucket.add t.global drained;
-      if drained > 0.0 then begin
-        if fl_on then
-          Flight.record fl ~now ~kind:Flight.Kind.Idle_drain ~a:(Tenant.id tenant)
-            ~b:t.thread_id ~v:drained;
-        if tel_on then
-          Telemetry.decision t.telemetry ~now ~thread:t.thread_id ~tenant:(Tenant.id tenant)
-            Telemetry.Decision.Be_idle_drain ~amount:drained ~tokens_after:0.0
-      end
+      if fl_on && drained > 0.0 then
+        Flight.record fl ~now ~kind:Flight.Kind.Idle_drain ~a:(Tenant.id tenant)
+          ~b:t.thread_id ~v:drained
     end
   done;
   if n_be > 0 then t.be_cursor <- (t.be_cursor + 1) mod n_be;
   let reset = Global_bucket.mark_round t.global ~thread_id:t.thread_id in
-  if reset then begin
-    if fl_on then
-      Flight.record fl ~now ~kind:Flight.Kind.Bucket_reset ~a:(-1) ~b:t.thread_id
-        ~v:(Global_bucket.level t.global);
-    if tel_on then
-      Telemetry.decision t.telemetry ~now ~thread:t.thread_id ~tenant:(-1)
-        Telemetry.Decision.Bucket_reset ~amount:0.0
-        ~tokens_after:(Global_bucket.level t.global)
-  end;
+  if fl_on && reset then
+    Flight.record fl ~now ~kind:Flight.Kind.Bucket_reset ~a:(-1) ~b:t.thread_id
+      ~v:(Global_bucket.level t.global);
   Profiler.leave t.profiler Profiler.Subsystem.Qos;
   !submitted

@@ -16,7 +16,7 @@ let lane_name lane = if lane = 0 then "rack" else Printf.sprintf "rack-%02d" (la
 let hop_of_b b = b land 7
 let tenant_of_b b = b lsr 3
 
-let ts time = Printf.sprintf "%.3f" (Time.to_float_us time)
+let ts = Reflex_obs.Flight_dump.us
 
 (* One merged record: (time, lane, in-lane index, record fields). *)
 type ev = { e_time : Time.t; e_lane : int; e_idx : int; e_kind : int; e_a : int; e_b : int; e_v : float }

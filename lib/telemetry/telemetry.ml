@@ -63,157 +63,6 @@ module Stage = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Fixed-capacity span ring                                           *)
-(* ------------------------------------------------------------------ *)
-
-module Span_ring = struct
-  (* Parallel arrays of immediates (no per-record boxing, no write
-     barrier); wraparound overwrites the oldest events, keeping the
-     newest [capacity] spans. *)
-  type t = {
-    capacity : int;
-    times : Time.t array;
-    tenants : int array;
-    req_ids : int array;
-    stages : int array;
-    mutable next : int;
-    mutable total : int;
-  }
-
-  let create capacity =
-    if capacity < 1 then invalid_arg "Span_ring.create: capacity < 1";
-    {
-      capacity;
-      times = Array.make capacity Time.zero;
-      tenants = Array.make capacity 0;
-      req_ids = Array.make capacity 0;
-      stages = Array.make capacity 0;
-      next = 0;
-      total = 0;
-    }
-
-  let record t ~time ~tenant ~req_id ~stage =
-    let i = t.next in
-    t.times.(i) <- time;
-    t.tenants.(i) <- tenant;
-    t.req_ids.(i) <- req_id;
-    t.stages.(i) <- stage;
-    let j = i + 1 in
-    t.next <- (if j = t.capacity then 0 else j);
-    t.total <- t.total + 1
-
-  let length t = if t.total < t.capacity then t.total else t.capacity
-  let total t = t.total
-  let dropped t = if t.total > t.capacity then t.total - t.capacity else 0
-
-  (* Oldest-first iteration over the retained window. *)
-  let iter t f =
-    let n = length t in
-    let start = if t.total <= t.capacity then 0 else t.next in
-    for k = 0 to n - 1 do
-      let i = start + k in
-      let i = if i >= t.capacity then i - t.capacity else i in
-      f ~time:t.times.(i) ~tenant:t.tenants.(i) ~req_id:t.req_ids.(i) ~stage:t.stages.(i)
-    done
-end
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler decision log                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Decision = struct
-  type kind =
-    | Throttled (* LC tenant left demand queued: token balance at floor *)
-    | Deficit_limit (* LC balance below NEG_LIMIT: control plane notified *)
-    | Donated (* LC balance above POS_LIMIT donated to the global bucket *)
-    | Be_bucket_take (* BE tenant claimed tokens from the global bucket *)
-    | Be_starved (* BE tenant left demand queued: could not fully pay *)
-    | Be_idle_drain (* idle BE tenant's balance returned to the bucket *)
-    | Bucket_reset (* this thread's round marked the global-bucket reset *)
-
-  let to_int = function
-    | Throttled -> 0
-    | Deficit_limit -> 1
-    | Donated -> 2
-    | Be_bucket_take -> 3
-    | Be_starved -> 4
-    | Be_idle_drain -> 5
-    | Bucket_reset -> 6
-
-  let of_int = function
-    | 0 -> Throttled
-    | 1 -> Deficit_limit
-    | 2 -> Donated
-    | 3 -> Be_bucket_take
-    | 4 -> Be_starved
-    | 5 -> Be_idle_drain
-    | 6 -> Bucket_reset
-    | n -> invalid_arg (Printf.sprintf "Decision.of_int: %d" n)
-
-  let name = function
-    | Throttled -> "throttled"
-    | Deficit_limit -> "deficit_limit"
-    | Donated -> "donated"
-    | Be_bucket_take -> "bucket_take"
-    | Be_starved -> "be_starved"
-    | Be_idle_drain -> "idle_drain"
-    | Bucket_reset -> "bucket_reset"
-end
-
-module Decision_ring = struct
-  type t = {
-    capacity : int;
-    times : Time.t array;
-    threads : int array;
-    tenants : int array;
-    kinds : int array;
-    amounts : float array;
-    tokens_after : float array;
-    mutable next : int;
-    mutable total : int;
-  }
-
-  let create capacity =
-    if capacity < 1 then invalid_arg "Decision_ring.create: capacity < 1";
-    {
-      capacity;
-      times = Array.make capacity Time.zero;
-      threads = Array.make capacity 0;
-      tenants = Array.make capacity 0;
-      kinds = Array.make capacity 0;
-      amounts = Array.make capacity 0.0;
-      tokens_after = Array.make capacity 0.0;
-      next = 0;
-      total = 0;
-    }
-
-  let record t ~time ~thread ~tenant ~kind ~amount ~tokens_after =
-    let i = t.next in
-    t.times.(i) <- time;
-    t.threads.(i) <- thread;
-    t.tenants.(i) <- tenant;
-    t.kinds.(i) <- kind;
-    t.amounts.(i) <- amount;
-    t.tokens_after.(i) <- tokens_after;
-    let j = i + 1 in
-    t.next <- (if j = t.capacity then 0 else j);
-    t.total <- t.total + 1
-
-  let length t = if t.total < t.capacity then t.total else t.capacity
-  let total t = t.total
-
-  let iter t f =
-    let n = length t in
-    let start = if t.total <= t.capacity then 0 else t.next in
-    for k = 0 to n - 1 do
-      let i = start + k in
-      let i = if i >= t.capacity then i - t.capacity else i in
-      f ~time:t.times.(i) ~thread:t.threads.(i) ~tenant:t.tenants.(i) ~kind:t.kinds.(i)
-        ~amount:t.amounts.(i) ~tokens_after:t.tokens_after.(i)
-    done
-end
-
-(* ------------------------------------------------------------------ *)
 (* Metrics registry                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -223,8 +72,6 @@ type metric =
   | Counter of counter
   | Gauge of (unit -> float)
   | Hist of Hdr_histogram.t
-
-type sample = { s_time : Time.t; s_values : (string * float) array }
 
 type slo_target = { st_latency_critical : bool; st_latency_us : int }
 
@@ -245,25 +92,11 @@ type link = {
 
 type t = {
   enabled : bool;
-  spans : Span_ring.t;
-  decisions : Decision_ring.t;
+  (* Lifecycle spans as [Flight.Kind.Stage] records in a ring of their
+     own, separate from the forensic [flight] ring below so span volume
+     never moves a dump window. *)
+  spans : Flight.t;
   metrics : (string, metric) Hashtbl.t;
-  (* Sampler datapath: a name-sorted snapshot of the registry plus a
-     preallocated (tick x metric) value matrix.  A sampler tick writes
-     one float per metric into the matrix — no per-tick array, tuples or
-     sort.  When the registry changes between ticks ([reg_dirty]), rows
-     recorded so far are materialized into [frozen_rev] under the old
-     layout and the matrix restarts with the new stride.  [sample]
-     records are only built on demand (see [samples]). *)
-  mutable reg_dirty : bool;
-  mutable reg_names : string array; (* sorted metric names *)
-  mutable reg_metrics : metric array; (* parallel to reg_names *)
-  mutable samp_times : Time.t array; (* one per retained tick *)
-  mutable samp_vals : float array; (* samp_len x stride, row-major *)
-  mutable samp_len : int;
-  mutable frozen_rev : sample list; (* ticks from earlier registry layouts *)
-  mutable sample_count : int;
-  mutable sampler_running : bool;
   tenant_slos : (int, slo_target) Hashtbl.t;
   (* Per-tenant latency histograms, indexed by tenant id; [dummy_hist]
      marks unset slots.  The per-request record path is a bounds check
@@ -285,21 +118,11 @@ type t = {
 let dummy_counter = { value = 0.0 }
 let dummy_hist = Hdr_histogram.create ()
 
-let make ~enabled ~span_capacity ~decision_capacity =
+let make ~enabled ~spans =
   {
     enabled;
-    spans = Span_ring.create span_capacity;
-    decisions = Decision_ring.create decision_capacity;
+    spans;
     metrics = Hashtbl.create 64;
-    reg_dirty = false;
-    reg_names = [||];
-    reg_metrics = [||];
-    samp_times = [||];
-    samp_vals = [||];
-    samp_len = 0;
-    frozen_rev = [];
-    sample_count = 0;
-    sampler_running = false;
     tenant_slos = Hashtbl.create 16;
     tlat = [||];
     faults_rev = [];
@@ -309,10 +132,10 @@ let make ~enabled ~span_capacity ~decision_capacity =
     remediations_rev = [];
   }
 
-let disabled = make ~enabled:false ~span_capacity:1 ~decision_capacity:1
+let disabled = make ~enabled:false ~spans:Flight.disabled
 
-let create ?(span_capacity = 1 lsl 16) ?(decision_capacity = 4096) () =
-  make ~enabled:true ~span_capacity ~decision_capacity
+let create ?(span_capacity = 1 lsl 16) () =
+  make ~enabled:true ~spans:(Flight.create ~capacity:span_capacity ())
 
 let enabled t = t.enabled [@@inline]
 
@@ -328,31 +151,21 @@ let profiler t = t.profiler [@@inline]
 
 (* ---------------- spans ---------------- *)
 
+(* Packed like [Flight.Kind.Hop]: a = req_id, b = (tenant lsl 3) lor
+   stage.  The disabled instance's ring is [Flight.disabled], whose
+   record is a no-op. *)
 let span t ~now ~tenant ~req_id stage =
-  if t.enabled then
-    Span_ring.record t.spans ~time:now ~tenant ~req_id ~stage:(Stage.to_int stage)
+  Flight.record t.spans ~now ~kind:Flight.Kind.Stage ~a:req_id
+    ~b:((tenant lsl 3) lor Stage.to_int stage)
+    ~v:0.0
 
-let span_count t = Span_ring.length t.spans
-let spans_recorded t = Span_ring.total t.spans
-let spans_dropped t = Span_ring.dropped t.spans
+let span_count t = Flight.retained t.spans
+let spans_recorded t = Flight.total t.spans
+let spans_dropped t = Flight.dropped t.spans
 
 let iter_spans t f =
-  Span_ring.iter t.spans (fun ~time ~tenant ~req_id ~stage ->
-      f ~time ~tenant ~req_id ~stage:(Stage.of_int stage))
-
-(* ---------------- decisions ---------------- *)
-
-let decision t ~now ~thread ~tenant kind ~amount ~tokens_after =
-  if t.enabled then
-    Decision_ring.record t.decisions ~time:now ~thread ~tenant
-      ~kind:(Decision.to_int kind) ~amount ~tokens_after
-
-let decision_count t = Decision_ring.length t.decisions
-let decisions_recorded t = Decision_ring.total t.decisions
-
-let iter_decisions t f =
-  Decision_ring.iter t.decisions (fun ~time ~thread ~tenant ~kind ~amount ~tokens_after ->
-      f ~time ~thread ~tenant ~kind:(Decision.of_int kind) ~amount ~tokens_after)
+  Flight.iter t.spans (fun ~time ~kind:_ ~a ~b ~v:_ ->
+      f ~time ~tenant:(b asr 3) ~req_id:a ~stage:(Stage.of_int (b land 7)))
 
 (* ---------------- metrics ---------------- *)
 
@@ -365,30 +178,20 @@ let counter t name =
     | None ->
       let c = { value = 0.0 } in
       Hashtbl.replace t.metrics name (Counter c);
-      t.reg_dirty <- true;
       c
 
 let add c x = c.value <- c.value +. x
 let incr c = add c 1.0
 let counter_value c = c.value
 
-let register_gauge t name f =
-  if t.enabled then begin
-    Hashtbl.replace t.metrics name (Gauge f);
-    t.reg_dirty <- true
-  end
-
-let unregister t name =
-  if t.enabled && Hashtbl.mem t.metrics name then begin
-    Hashtbl.remove t.metrics name;
-    t.reg_dirty <- true
-  end
+let register_gauge t name f = if t.enabled then Hashtbl.replace t.metrics name (Gauge f)
+let unregister t name = if t.enabled then Hashtbl.remove t.metrics name
 
 (* Attaching a profiler also publishes its accumulators as gauges, so the
-   per-subsystem cost shares flow through the regular sampler into the
-   Tsdb/Prometheus exporters with no extra plumbing.  The values are host
-   wall time — nondeterministic by design (see Profiler's contract); they
-   are only present when a profiler is explicitly attached. *)
+   per-subsystem cost shares reach the Monitor's Tsdb and the Prometheus
+   exporter with no extra plumbing.  The values are host wall time —
+   nondeterministic by design (see Profiler's contract); they are only
+   present when a profiler is explicitly attached. *)
 let set_profiler t p =
   if not t.enabled then invalid_arg "Telemetry.set_profiler: disabled instance";
   t.profiler <- p;
@@ -413,13 +216,7 @@ let histogram t name =
     | None ->
       let h = Hdr_histogram.create () in
       Hashtbl.replace t.metrics name (Hist h);
-      t.reg_dirty <- true;
       h
-
-let metric_value = function
-  | Counter c -> c.value
-  | Gauge g -> g ()
-  | Hist h -> float_of_int (Hdr_histogram.count h)
 
 let metric_names t =
   let names = Hashtbl.fold (fun k _ acc -> k :: acc) t.metrics [] in
@@ -560,77 +357,12 @@ let faults_report t =
     ws;
   Buffer.contents buf
 
-(* ---------------- sampling ---------------- *)
-
-(* Build the [sample] record for matrix row [k] under the current
-   registry layout.  Report-time only. *)
-let row_sample t k =
-  let stride = Array.length t.reg_names in
-  {
-    s_time = t.samp_times.(k);
-    s_values = Array.init stride (fun i -> (t.reg_names.(i), t.samp_vals.((k * stride) + i)));
-  }
-
-(* Cold path: the registry changed since the last tick.  Materialize the
-   rows recorded so far under the old layout, then rebuild the sorted
-   name/metric snapshot and restart the matrix with the new stride. *)
-let refresh_registry t =
-  for k = 0 to t.samp_len - 1 do
-    t.frozen_rev <- row_sample t k :: t.frozen_rev
-  done;
-  t.samp_len <- 0;
-  t.reg_names <- Array.of_list (metric_names t);
-  t.reg_metrics <- Array.map (fun name -> Hashtbl.find t.metrics name) t.reg_names;
-  t.samp_vals <- Array.make (Array.length t.samp_times * Array.length t.reg_names) 0.0;
-  t.reg_dirty <- false
-
-(* Cold path: double the matrix (tick capacity). *)
-let grow_samples t =
-  let cap = Array.length t.samp_times in
-  let ncap = if cap = 0 then 256 else cap * 2 in
-  let stride = Array.length t.reg_names in
-  let nt = Array.make ncap Time.zero in
-  Array.blit t.samp_times 0 nt 0 t.samp_len;
-  t.samp_times <- nt;
-  let nv = Array.make (ncap * stride) 0.0 in
-  Array.blit t.samp_vals 0 nv 0 (t.samp_len * stride);
-  t.samp_vals <- nv
-
-let sample t ~now =
-  if t.enabled then begin
-    Profiler.enter t.profiler Profiler.Subsystem.Telemetry;
-    if t.reg_dirty then refresh_registry t;
-    if t.samp_len = Array.length t.samp_times then grow_samples t;
-    let stride = Array.length t.reg_names in
-    t.samp_times.(t.samp_len) <- now;
-    let base = t.samp_len * stride in
-    for i = 0 to stride - 1 do
-      t.samp_vals.(base + i) <- metric_value t.reg_metrics.(i)
-    done;
-    t.samp_len <- t.samp_len + 1;
-    t.sample_count <- t.sample_count + 1;
-    Profiler.leave t.profiler Profiler.Subsystem.Telemetry
-  end
-
-let start_sampler t sim ?(interval = Time.ms 1) () =
-  if t.enabled && not t.sampler_running then begin
-    t.sampler_running <- true;
-    Sim.every_daemon sim ~every:interval (fun now -> sample t ~now)
-  end
-
-let samples t =
-  let tail = List.init t.samp_len (fun k -> row_sample t k) in
-  List.rev_append t.frozen_rev tail
-
-let sample_count t = t.sample_count
-
 (* ---------------- reports ---------------- *)
 
 let metrics_report t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "== telemetry metrics (%d samples, %d metrics) ==\n" t.sample_count
-       (Hashtbl.length t.metrics));
+    (Printf.sprintf "== telemetry metrics (%d metrics) ==\n" (Hashtbl.length t.metrics));
   List.iter
     (fun name ->
       match Hashtbl.find_opt t.metrics name with
@@ -646,36 +378,31 @@ let metrics_report t =
     (metric_names t);
   Buffer.contents buf
 
-let timeseries_report ?prefix t =
-  let keep name =
-    match prefix with None -> true | Some p -> String.length name >= String.length p
-                                               && String.sub name 0 (String.length p) = p
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "== telemetry time series (t_ms metric value) ==\n";
-  List.iter
-    (fun { s_time; s_values } ->
-      Array.iter
-        (fun (name, v) ->
-          if keep name then
-            Buffer.add_string buf
-              (Printf.sprintf "%10.3f %-34s %14.3f\n" (Time.to_float_ms s_time) name v))
-        s_values)
-    (samples t);
-  Buffer.contents buf
+(* The scheduler's Algorithm-1 decisions, as recorded in the attached
+   flight ring (a = tenant, b = thread). *)
+let is_decision = function
+  | Flight.Kind.Throttle | Flight.Kind.Deficit | Flight.Kind.Donate | Flight.Kind.Bucket_take
+  | Flight.Kind.Idle_drain | Flight.Kind.Bucket_reset ->
+    true
+  | _ -> false
 
 let decisions_report ?(limit = 40) t =
-  let total = Decision_ring.length t.decisions in
+  let total = ref 0 in
+  Flight.iter t.flight (fun ~time:_ ~kind ~a:_ ~b:_ ~v:_ ->
+      if is_decision kind then Stdlib.incr total);
+  let total = !total in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "== scheduler decision log (%d retained, showing last %d) ==\n" total
        (min limit total));
-  let skip = if total > limit then total - limit else 0 in
+  let skip = total - limit in
   let i = ref 0 in
-  iter_decisions t (fun ~time ~thread ~tenant ~kind ~amount ~tokens_after ->
-      if !i >= skip then
-        Buffer.add_string buf
-          (Printf.sprintf "%10.3fms thread%d tenant%-5d %-12s amount=%10.1f tokens=%10.1f\n"
-             (Time.to_float_ms time) thread tenant (Decision.name kind) amount tokens_after);
-      Stdlib.incr i);
+  Flight.iter t.flight (fun ~time ~kind ~a ~b ~v ->
+      if is_decision kind then begin
+        if !i >= skip then
+          Buffer.add_string buf
+            (Printf.sprintf "%10.3fms thread%d tenant%-5d %-12s v=%10.1f\n"
+               (Time.to_float_ms time) b a (Flight.Kind.name kind) v);
+        Stdlib.incr i
+      end);
   Buffer.contents buf

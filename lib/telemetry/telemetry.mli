@@ -1,5 +1,12 @@
-(** Observability core: lifecycle span ring, scheduler decision log, and a
-    named-metrics registry with sim-time sampling.
+(** Observability core: lifecycle spans, a named-metrics registry, SLO
+    dimensions, fault marks, causal links and remediation marks.
+
+    Every event ring is a {!Reflex_obs.Flight.t}: spans are
+    [Flight.Kind.Stage] records in a span ring of their own, and the
+    scheduler's decision log is the attached forensic flight ring (see
+    {!decisions_report}).  Counters, gauges and histograms are live values
+    read at report time by {!metrics_report}, the Prometheus exporter and
+    the Monitor's windowed Tsdb.
 
     One {!t} per simulated world.  The defining contract is
     {e zero overhead when disabled}: every record operation first reads the
@@ -38,40 +45,20 @@ module Stage : sig
   val component_count : int
 end
 
-(** Why the Algorithm-1 scheduler made a throttling/token decision. *)
-module Decision : sig
-  type kind =
-    | Throttled  (** LC tenant left demand queued: token balance at floor *)
-    | Deficit_limit  (** LC balance below NEG_LIMIT: control plane notified *)
-    | Donated  (** LC balance above POS_LIMIT donated to the global bucket *)
-    | Be_bucket_take  (** BE tenant claimed tokens from the global bucket *)
-    | Be_starved  (** BE tenant left demand queued: could not fully pay *)
-    | Be_idle_drain  (** idle BE tenant's balance returned to the bucket *)
-    | Bucket_reset  (** this thread's round marked the global-bucket reset *)
-
-  val to_int : kind -> int
-  val of_int : int -> kind
-  val name : kind -> string
-end
-
 type t
 
 (** Handle to a registered counter.  Mutating a handle obtained from a
     disabled instance is a silent no-op sink. *)
 type counter
 
-(** One sampler tick: all registered metrics read at [s_time], sorted by
-    metric name (deterministic across runs and domains). *)
-type sample = private { s_time : Time.t; s_values : (string * float) array }
-
 (** The shared always-disabled instance.  All record operations on it are
     no-ops; it is never mutated, hence domain-safe. *)
 val disabled : t
 
-(** [create ()] makes an enabled instance.  [span_capacity] and
-    [decision_capacity] bound the ring buffers (oldest entries are
-    overwritten on wraparound). *)
-val create : ?span_capacity:int -> ?decision_capacity:int -> unit -> t
+(** [create ()] makes an enabled instance.  [span_capacity] (default
+    [1 lsl 16]) bounds the span ring; the oldest spans are overwritten on
+    wraparound. *)
+val create : ?span_capacity:int -> unit -> t
 
 val enabled : t -> bool
 
@@ -93,14 +80,15 @@ val set_flight : t -> Reflex_obs.Flight.t -> unit
 val profiler : t -> Reflex_obs.Profiler.t
 
 (** Attach a cost profiler and publish its per-subsystem wall/minor-words
-    accumulators as [obs/prof/...] gauges (sampled on daemon ticks, hence
-    visible to the Tsdb and Prometheus exporters).  Raises on {!disabled}. *)
+    accumulators as [obs/prof/...] gauges (visible to the Monitor's Tsdb
+    and the Prometheus exporter).  Raises on {!disabled}. *)
 val set_profiler : t -> Reflex_obs.Profiler.t -> unit
 
 (** {1 Lifecycle spans} *)
 
-(** [span t ~now ~tenant ~req_id stage] records one hop.  Request identity
-    is the (tenant, req_id) pair — req_ids are only unique per tenant. *)
+(** [span t ~now ~tenant ~req_id stage] records one hop as a
+    [Flight.Kind.Stage] record.  Request identity is the (tenant, req_id)
+    pair — req_ids are only unique per tenant. *)
 val span : t -> now:Time.t -> tenant:int -> req_id:int -> Stage.t -> unit
 
 (** Spans currently retained (<= capacity). *)
@@ -116,32 +104,6 @@ val spans_dropped : t -> int
 val iter_spans :
   t -> (time:Time.t -> tenant:int -> req_id:int -> stage:Stage.t -> unit) -> unit
 
-(** {1 Scheduler decision log} *)
-
-val decision :
-  t ->
-  now:Time.t ->
-  thread:int ->
-  tenant:int ->
-  Decision.kind ->
-  amount:float ->
-  tokens_after:float ->
-  unit
-
-val decision_count : t -> int
-val decisions_recorded : t -> int
-
-val iter_decisions :
-  t ->
-  (time:Time.t ->
-  thread:int ->
-  tenant:int ->
-  kind:Decision.kind ->
-  amount:float ->
-  tokens_after:float ->
-  unit) ->
-  unit
-
 (** {1 Metrics registry}
 
     Metric names are slash-separated paths, e.g. ["core/thread0/rounds"],
@@ -155,7 +117,8 @@ val add : counter -> float -> unit
 val incr : counter -> unit
 val counter_value : counter -> float
 
-(** [register_gauge t name f] samples [f ()] at each sampler tick. *)
+(** [register_gauge t name f] publishes [f ()], read whenever a report or
+    exporter reads the registry. *)
 val register_gauge : t -> string -> (unit -> float) -> unit
 
 val unregister : t -> string -> unit
@@ -241,31 +204,14 @@ val fault_windows : t -> (string * Time.t * Time.t option) list
 (** One line per fault window. *)
 val faults_report : t -> string
 
-(** {1 Sampling} *)
-
-(** Snapshot every registered metric now. *)
-val sample : t -> now:Time.t -> unit
-
-(** [start_sampler t sim ()] snapshots all metrics every [interval]
-    (default 1ms) of sim time, as a {e daemon} event ({!Sim.every_daemon}):
-    the sampler never keeps the simulation alive on its own and does not
-    perturb simulation state, so telemetry-on results equal telemetry-off
-    results bit for bit.  Idempotent per instance. *)
-val start_sampler : t -> Sim.t -> ?interval:Time.t -> unit -> unit
-
-(** Chronological samples. *)
-val samples : t -> sample list
-
-val sample_count : t -> int
-
 (** {1 Plain-text reports} *)
 
 (** Final value of every metric (histograms: n/mean/p95/p99 in µs). *)
 val metrics_report : t -> string
 
-(** One line per (tick, metric): [t_ms name value].  [prefix] filters by
-    metric-name prefix. *)
-val timeseries_report : ?prefix:string -> t -> string
-
-(** Last [limit] (default 40) scheduler decisions. *)
+(** Last [limit] (default 40) scheduler decisions retained in the attached
+    flight ring: its [Throttle], [Deficit], [Donate], [Bucket_take],
+    [Idle_drain] and [Bucket_reset] records, one line each with time,
+    thread, tenant, kind and value.  Empty when no flight ring is
+    attached. *)
 val decisions_report : ?limit:int -> t -> string

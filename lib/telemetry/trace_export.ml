@@ -16,6 +16,8 @@ type request = {
 }
 
 let not_seen = Time.ns (-1)
+let add_json_string = Reflex_obs.Flight_dump.add_json_string
+let us = Reflex_obs.Flight_dump.us
 
 (* Insertion-ordered collection: ring iteration is oldest-first, so the
    resulting request list is ordered by first-seen stage, which makes all
@@ -127,9 +129,9 @@ let component_summary tel =
       total := !total +. Time.to_float_us b.b_total;
       Array.iteri
         (fun i c ->
-          let us = Time.to_float_us c in
-          sums.(i) <- sums.(i) +. us;
-          if us > maxs.(i) then maxs.(i) <- us;
+          let c_us = Time.to_float_us c in
+          sums.(i) <- sums.(i) +. c_us;
+          if c_us > maxs.(i) then maxs.(i) <- c_us;
           Reflex_stats.Hdr_histogram.record hists.(i) (c : Time.t :> int))
         b.b_components)
     bds;
@@ -215,19 +217,6 @@ let retry_tree_report ?(top = 20) tel =
    pid = tenant id, tid = dataplane-visible request id.  Chrome expects
    [ts]/[dur] in microseconds (floats allowed). *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 (* Latest timestamp observed anywhere in the telemetry — closes fault
    windows that are still open when the trace is exported. *)
 let last_time tel =
@@ -235,7 +224,8 @@ let last_time tel =
   let see x = if Time.(x > !t) then t := x in
   Telemetry.iter_spans tel (fun ~time ~tenant:_ ~req_id:_ ~stage:_ -> see time);
   List.iter (fun (time, _, _) -> see time) (Telemetry.fault_log tel);
-  List.iter (fun s -> see s.Telemetry.s_time) (Telemetry.samples tel);
+  List.iter (fun (time, _, _, _) -> see time) (Telemetry.links tel);
+  List.iter (fun (time, _, _) -> see time) (Telemetry.remediation_log tel);
   !t
 
 let to_chrome_json ?(extra = []) tel =
@@ -255,9 +245,9 @@ let to_chrome_json ?(extra = []) tel =
           Buffer.add_string buf "{\"name\":";
           add_json_string buf Telemetry.Stage.component_names.(i);
           Buffer.add_string buf ",\"cat\":\"request\",\"ph\":\"X\",\"ts\":";
-          Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us !t));
+          Buffer.add_string buf (us !t);
           Buffer.add_string buf ",\"dur\":";
-          Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us c));
+          Buffer.add_string buf (us c);
           Buffer.add_string buf
             (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"args\":{\"req\":%d}}" b.b_tenant b.b_req_id
                b.b_req_id);
@@ -271,7 +261,7 @@ let to_chrome_json ?(extra = []) tel =
       Buffer.add_string buf "{\"name\":";
       add_json_string buf (Telemetry.Stage.name stage);
       Buffer.add_string buf ",\"cat\":\"span\",\"ph\":\"i\",\"s\":\"t\",\"ts\":";
-      Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us time));
+      Buffer.add_string buf (us time);
       Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d}" tenant req_id));
   (* Injected-fault windows as duration events on a dedicated row
      (pid 0 / tid 0, cat "fault"), so latency spikes in the viewer line
@@ -288,9 +278,9 @@ let to_chrome_json ?(extra = []) tel =
         Buffer.add_string buf "{\"name\":";
         add_json_string buf label;
         Buffer.add_string buf ",\"cat\":\"fault\",\"ph\":\"X\",\"ts\":";
-        Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us t0));
+        Buffer.add_string buf (us t0);
         Buffer.add_string buf ",\"dur\":";
-        Buffer.add_string buf (Printf.sprintf "%.3f" (Time.to_float_us (Time.diff t1 t0)));
+        Buffer.add_string buf (us (Time.diff t1 t0));
         Buffer.add_string buf ",\"pid\":0,\"tid\":0,\"args\":{\"fault\":";
         add_json_string buf label;
         Buffer.add_string buf "}}")
@@ -308,7 +298,7 @@ let to_chrome_json ?(extra = []) tel =
       in
       let src_tenant, src_req = src in
       let dst_tenant, dst_req = dst in
-      let ts = Printf.sprintf "%.3f" (Time.to_float_us time) in
+      let ts = us time in
       sep ();
       Buffer.add_string buf "{\"name\":";
       add_json_string buf name;
@@ -330,8 +320,8 @@ let to_chrome_json ?(extra = []) tel =
       Buffer.add_string buf "{\"name\":";
       add_json_string buf ("remediate:" ^ rule);
       Buffer.add_string buf
-        (Printf.sprintf ",\"cat\":\"remediation\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%.3f,\"pid\":0,\"tid\":0,\"args\":{\"outcome\":"
-           (Time.to_float_us time));
+        (Printf.sprintf ",\"cat\":\"remediation\",\"ph\":\"i\",\"s\":\"g\",\"ts\":%s,\"pid\":0,\"tid\":0,\"args\":{\"outcome\":"
+           (us time));
       add_json_string buf outcome;
       Buffer.add_string buf "}}")
     (Telemetry.remediation_log tel);

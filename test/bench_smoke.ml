@@ -490,9 +490,9 @@ let () =
     print_string serial
   end;
   (* Telemetry cost: same serial sweep with the observability layer off
-     vs on.  The simulated numbers must match exactly — the span ring,
-     counters and daemon sampler observe the simulation but never
-     schedule work that perturbs it. *)
+     vs on.  The simulated numbers must match exactly — the span ring
+     and counters observe the simulation but never schedule work that
+     perturbs it. *)
   let reps = 3 in
   let off_s, off_rows = timed reps (fun () -> List.map (point ~telemetry:false) rates) in
   let on_s, on_rows = timed reps (fun () -> List.map (point ~telemetry:true) rates) in
@@ -562,13 +562,12 @@ let () =
     h_eps h_mwpe w_eps w_mwpe h_n;
   if s_identical then print_endline "bench smoke OK: heap and wheel retire identical streams"
   else print_endline "bench smoke FAILED: heap and wheel event streams diverged";
-  (* `serial` above ran on the process default backend (the wheel, since
-     PR 7); re-run the sweep forced onto the reference heap backend and
-     require the byte-identical table before restoring the default. *)
-  let saved_backend = Sim.get_default_backend () in
-  Sim.set_default_backend Sim.Heap;
-  let heap_serial = table (Runner.map ~jobs:1 point rates) in
-  Sim.set_default_backend saved_backend;
+  (* `serial` above ran on the process default backend (the wheel);
+     re-run the sweep forced onto the reference heap backend and require
+     the byte-identical table. *)
+  let heap_serial =
+    Sim.with_default_backend Sim.Heap (fun () -> table (Runner.map ~jobs:1 point rates))
+  in
   let backend_sweep_eq = String.equal serial heap_serial in
   if backend_sweep_eq then
     print_endline "bench smoke OK: heap-backend sweep table == wheel-backend (default) table"
@@ -659,9 +658,7 @@ let () =
      identically across a same-seed rerun and across event backends. *)
   let o_dump_digest = flight_debrief_digest () in
   let dump_rerun = flight_debrief_digest () in
-  Sim.set_default_backend Sim.Heap;
-  let dump_heap = flight_debrief_digest () in
-  Sim.set_default_backend saved_backend;
+  let dump_heap = Sim.with_default_backend Sim.Heap flight_debrief_digest in
   let o_dump_eq = String.equal o_dump_digest dump_rerun && String.equal o_dump_digest dump_heap in
   Printf.printf "[obs: debrief digest %s (rerun %s, heap %s)]\n" o_dump_digest dump_rerun
     dump_heap;

@@ -586,11 +586,14 @@ let test_sim_backend_selection () =
   Alcotest.(check bool) "getter agrees" true (Sim.get_default_backend () = Sim.Wheel);
   let explicit = Sim.create ~backend:Sim.Heap () in
   Alcotest.(check bool) "explicit heap" true (Sim.backend explicit = Sim.Heap);
-  let saved = Sim.get_default_backend () in
-  Sim.set_default_backend Sim.Heap;
-  let implicit = Sim.create () in
-  Sim.set_default_backend saved;
-  Alcotest.(check bool) "default follows selection" true (Sim.backend implicit = Sim.Heap)
+  let implicit = Sim.with_default_backend Sim.Heap Sim.create in
+  Alcotest.(check bool) "default follows selection" true (Sim.backend implicit = Sim.Heap);
+  Alcotest.(check bool) "default restored" true (Sim.get_default_backend () = Sim.Wheel);
+  (match Sim.with_default_backend Sim.Heap (fun () -> failwith "boom") with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "default restored after a raise" true
+    (Sim.get_default_backend () = Sim.Wheel)
 
 let test_sim_wheel_backend_runs () =
   let sim = Sim.create ~backend:Sim.Wheel () in

@@ -87,15 +87,10 @@ let test_runner_parallel_matches_serial () =
    rendered tables must not change by a single byte. *)
 let test_backend_sweep_identical () =
   let rates = [ 50e3; 150e3; 250e3 ] in
-  let saved = Sim.get_default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Sim.set_default_backend saved)
-    (fun () ->
-      Sim.set_default_backend Sim.Heap;
-      let heap = mini_table (Runner.map ~jobs:1 mini_point rates) in
-      Sim.set_default_backend Sim.Wheel;
-      let wheel = mini_table (Runner.map ~jobs:1 mini_point rates) in
-      Alcotest.(check string) "wheel sweep table == heap sweep table" heap wheel)
+  let sweep b =
+    Sim.with_default_backend b (fun () -> mini_table (Runner.map ~jobs:1 mini_point rates))
+  in
+  Alcotest.(check string) "wheel sweep table == heap sweep table" (sweep Sim.Heap) (sweep Sim.Wheel)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2                                                            *)

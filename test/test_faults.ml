@@ -229,15 +229,9 @@ let test_chaos_deterministic_and_resilient () =
    selection changes the event-queue datapath, never the event order. *)
 let test_chaos_backend_equivalence () =
   let seed = 42L in
-  let saved = Sim.get_default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Sim.set_default_backend saved)
-    (fun () ->
-      Sim.set_default_backend Sim.Heap;
-      let heap = Chaos.render ~mode:Common.Quick ~seed () in
-      Sim.set_default_backend Sim.Wheel;
-      let wheel = Chaos.render ~mode:Common.Quick ~seed () in
-      Alcotest.(check bool) "wheel chaos render == heap" true (String.equal heap wheel))
+  let render b = Sim.with_default_backend b (fun () -> Chaos.render ~mode:Common.Quick ~seed ()) in
+  Alcotest.(check bool) "wheel chaos render == heap" true
+    (String.equal (render Sim.Heap) (render Sim.Wheel))
 
 let suite =
   [

@@ -345,15 +345,11 @@ let test_clean_runs_silent () =
    divergence between backends would show up here. *)
 let test_backend_equivalence () =
   let seed = 11L in
-  let saved = Sim.get_default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Sim.set_default_backend saved)
-    (fun () ->
-      Sim.set_default_backend Sim.Heap;
-      let heap = Monitor_exp.render ~mode:Common.Quick ~seed () in
-      Sim.set_default_backend Sim.Wheel;
-      let wheel = Monitor_exp.render ~mode:Common.Quick ~seed () in
-      Alcotest.(check bool) "wheel monitor render == heap" true (String.equal heap wheel))
+  let render b =
+    Sim.with_default_backend b (fun () -> Monitor_exp.render ~mode:Common.Quick ~seed ())
+  in
+  Alcotest.(check bool) "wheel monitor render == heap" true
+    (String.equal (render Sim.Heap) (render Sim.Wheel))
 
 (* Same-seed monitor reports must be byte-identical serial vs --jobs 2. *)
 let test_parallel_determinism () =

@@ -112,7 +112,7 @@ let test_kind_roundtrip () =
       Flight.Kind.Idle_drain; Flight.Kind.Queue_depth; Flight.Kind.Demote;
       Flight.Kind.Fault_on; Flight.Kind.Fault_off; Flight.Kind.Alert_fire;
       Flight.Kind.Alert_resolve; Flight.Kind.Remediate; Flight.Kind.Mark;
-      Flight.Kind.Migrate; Flight.Kind.Balance;
+      Flight.Kind.Migrate; Flight.Kind.Balance; Flight.Kind.Hop; Flight.Kind.Stage;
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -375,13 +375,9 @@ let test_exp_serial_vs_jobs2 () =
 
 let test_exp_heap_vs_wheel () =
   let base = Lazy.force small_render in
-  let saved = Sim.get_default_backend () in
-  let other = match saved with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
-  Sim.set_default_backend other;
+  let other = match Sim.get_default_backend () with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
   let cross =
-    Fun.protect
-      ~finally:(fun () -> Sim.set_default_backend saved)
-      (fun () -> Rack_exp.render ~scale:small_scale ~jobs:1 ())
+    Sim.with_default_backend other (fun () -> Rack_exp.render ~scale:small_scale ~jobs:1 ())
   in
   Alcotest.(check string) "heap vs wheel byte-identical" base cross
 

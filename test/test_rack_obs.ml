@@ -195,13 +195,9 @@ let test_follows_from_stitched () =
 
 let test_stitch_deterministic_across_backends () =
   let base_stitch, base_chrome, _ = artifacts ~seed:31L in
-  let saved = Sim.get_default_backend () in
-  let other = match saved with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
-  Sim.set_default_backend other;
+  let other = match Sim.get_default_backend () with Sim.Heap -> Sim.Wheel | Sim.Wheel -> Sim.Heap in
   let cross_stitch, cross_chrome, _ =
-    Fun.protect
-      ~finally:(fun () -> Sim.set_default_backend saved)
-      (fun () -> artifacts ~seed:31L)
+    Sim.with_default_backend other (fun () -> artifacts ~seed:31L)
   in
   Alcotest.(check string) "stitched span trees byte-identical across backends"
     base_stitch cross_stitch;

@@ -1,5 +1,6 @@
-(* Tests for the telemetry layer: ring wraparound, disabled-path no-ops,
-   Chrome trace JSON well-formedness (via a minimal JSON parser), the
+(* Tests for the telemetry layer: span ring wraparound and packing,
+   disabled-path no-ops, the flight-ring decision log, Chrome trace JSON
+   well-formedness (via a minimal JSON parser), the
    components-tile-end-to-end invariant, and byte-identical telemetry
    reports under Runner domain parallelism. *)
 
@@ -9,7 +10,7 @@ open Reflex_telemetry
 open Reflex_experiments
 
 (* ------------------------------------------------------------------ *)
-(* Span / decision ring wraparound                                    *)
+(* Span ring                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let test_span_ring_wraparound () =
@@ -29,46 +30,34 @@ let test_span_ring_wraparound () =
   Alcotest.(check (list int)) "newest kept, oldest-first" [ 12; 13; 14; 15; 16; 17; 18; 19 ]
     (List.rev !seen)
 
-let test_decision_ring_wraparound () =
-  let t = Telemetry.create ~decision_capacity:4 () in
-  for i = 0 to 9 do
-    Telemetry.decision t ~now:(Time.ns i) ~thread:0 ~tenant:i Telemetry.Decision.Throttled
-      ~amount:(float_of_int i) ~tokens_after:0.0
-  done;
-  Alcotest.(check int) "retained" 4 (Telemetry.decision_count t);
-  Alcotest.(check int) "recorded" 10 (Telemetry.decisions_recorded t);
+(* Spans are packed into Flight records (a = req_id, b = tenant lsl 3 lor
+   stage); a wide tenant id and a request id near [max_int] must come back
+   unchanged, with their stage. *)
+let test_span_roundtrip () =
+  let t = Telemetry.create ~span_capacity:16 () in
+  let tenant = (1 lsl 20) + 5 and req_id = max_int - 1 in
+  Telemetry.span t ~now:(Time.us 3) ~tenant ~req_id Telemetry.Stage.Nvme_complete;
+  Telemetry.span t ~now:(Time.us 4) ~tenant:0 ~req_id:max_int Telemetry.Stage.Client_complete;
   let seen = ref [] in
-  Telemetry.iter_decisions t
-    (fun ~time:_ ~thread:_ ~tenant ~kind:_ ~amount:_ ~tokens_after:_ ->
-      seen := tenant :: !seen);
-  Alcotest.(check (list int)) "newest kept" [ 6; 7; 8; 9 ] (List.rev !seen)
+  Telemetry.iter_spans t (fun ~time ~tenant ~req_id ~stage ->
+      seen :=
+        Printf.sprintf "%d %d %d %s" (time :> int) tenant req_id (Telemetry.Stage.name stage)
+        :: !seen);
+  Alcotest.(check (list string)) "spans round-trip"
+    [
+      Printf.sprintf "3000 %d %d nvme_complete" tenant req_id;
+      Printf.sprintf "4000 0 %d client_complete" max_int;
+    ]
+    (List.rev !seen)
 
 let test_disabled_noop () =
   let t = Telemetry.disabled in
   Telemetry.span t ~now:Time.zero ~tenant:1 ~req_id:1 Telemetry.Stage.Server_rx;
-  Telemetry.decision t ~now:Time.zero ~thread:0 ~tenant:1 Telemetry.Decision.Donated ~amount:1.0
-    ~tokens_after:1.0;
   let c = Telemetry.counter t "x/y" in
   Telemetry.incr c;
-  Telemetry.sample t ~now:Time.zero;
   Alcotest.(check bool) "disabled" false (Telemetry.enabled t);
   Alcotest.(check int) "no spans" 0 (Telemetry.span_count t);
-  Alcotest.(check int) "no decisions" 0 (Telemetry.decision_count t);
-  Alcotest.(check int) "no samples" 0 (Telemetry.sample_count t);
   Alcotest.(check (list string)) "no metrics" [] (Telemetry.metric_names t)
-
-let test_sample_sorted () =
-  let t = Telemetry.create () in
-  (* Register in non-sorted order; samples must come out name-sorted. *)
-  List.iter
-    (fun n -> Telemetry.register_gauge t n (fun () -> 1.0))
-    [ "z/last"; "a/first"; "m/mid" ];
-  Telemetry.sample t ~now:Time.zero;
-  match Telemetry.samples t with
-  | [ s ] ->
-    let names = Array.to_list (Array.map fst s.Telemetry.s_values) in
-    Alcotest.(check (list string)) "sorted" [ "a/first"; "m/mid"; "z/last" ] names
-  | l -> Alcotest.failf "expected 1 sample, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
 (* A small traced world                                               *)
@@ -77,11 +66,9 @@ let test_sample_sorted () =
 (* One LC tenant + one BE write flood on one core, traced end to end.
    Small enough for unit tests, busy enough that queueing and grants
    actually happen. *)
-let traced_world ?(rate = 30_000.0) () =
-  let telemetry = Telemetry.create () in
+let traced_world_with ?(rate = 30_000.0) telemetry =
   let w = Common.make_reflex ~n_threads:1 ~telemetry () in
   let sim = w.Common.sim in
-  Telemetry.start_sampler telemetry sim ();
   let until = Time.add (Sim.now sim) (Time.sec 1) in
   let lc =
     Common.client_of w ~slo:(Common.lc_slo ~latency_us:500 ~iops:50_000 ~read_pct:80) ~tenant:1 ()
@@ -95,7 +82,72 @@ let traced_world ?(rate = 30_000.0) () =
     Load_gen.closed_loop sim ~client:be ~depth:16 ~read_ratio:0.1 ~bytes:4096 ~until ~seed:11L ()
   in
   Common.measure_generators sim [ g_lc; g_be ] ~warmup:(Time.ms 20) ~window:(Time.ms 60);
-  telemetry
+  w
+
+let traced_world ?rate () = (traced_world_with ?rate (Telemetry.create ())).Common.telemetry
+
+(* The decision log is a view over the flight ring: the scheduler writes
+   each decision once, there and nowhere else. *)
+let decision_kinds =
+  Reflex_obs.Flight.Kind.[ Throttle; Deficit; Donate; Bucket_take; Idle_drain; Bucket_reset ]
+
+(* Checks one traced world at LC load [rate]; returns its per-kind record
+   counts in [decision_kinds] order. *)
+let check_decision_log ~rate =
+  let module Kind = Reflex_obs.Flight.Kind in
+  let telemetry = Telemetry.create () in
+  let fl = Reflex_obs.Flight.create ~capacity:(1 lsl 18) () in
+  Telemetry.set_flight telemetry fl;
+  let w = traced_world_with ~rate telemetry in
+  Alcotest.(check int) "flight ring never wrapped" 0 (Reflex_obs.Flight.dropped fl);
+  let count kind =
+    let n = ref 0 in
+    Reflex_obs.Flight.iter fl (fun ~time:_ ~kind:k ~a:_ ~b:_ ~v:_ -> if k = kind then incr n);
+    !n
+  in
+  Alcotest.(check int) "one Deficit record per control-plane notification"
+    (Reflex_core.Server.deficit_notifications w.Common.server ~tenant:1)
+    (count Kind.Deficit);
+  let resets =
+    match Telemetry.find_metric telemetry "qos/global_bucket/resets" with
+    | Some (`Gauge v) -> int_of_float v
+    | _ -> Alcotest.fail "no bucket-reset gauge"
+  in
+  Alcotest.(check int) "one Bucket_reset record per bucket reset" resets
+    (count Kind.Bucket_reset);
+  Alcotest.(check int) "spans stay in their own ring" 0 (count Kind.Stage);
+  (* The full report lists every decision record once. *)
+  let listed =
+    Telemetry.decisions_report ~limit:max_int telemetry
+    |> String.split_on_char '\n' |> List.tl
+    |> List.filter_map (fun l ->
+           match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+           | _time :: _thread :: _tenant :: kind :: _ -> Some kind
+           | _ -> None)
+  in
+  let counts = List.map count decision_kinds in
+  List.iter2
+    (fun k n ->
+      let name = Kind.name k in
+      Alcotest.(check int) (name ^ " listed once per record") n
+        (List.length (List.filter (String.equal name) listed)))
+    decision_kinds counts;
+  Alcotest.(check int) "no other report lines" (List.fold_left ( + ) 0 counts)
+    (List.length listed);
+  counts
+
+let test_decision_log () =
+  (* Below its 50K reservation the LC tenant donates; above it, it is
+     throttled into deficit.  Together the two worlds make every kind. *)
+  let under = check_decision_log ~rate:30_000.0 in
+  let over = check_decision_log ~rate:70_000.0 in
+  List.iter2
+    (fun k n -> Alcotest.(check bool) (Reflex_obs.Flight.Kind.name k ^ " recorded") true (n > 0))
+    decision_kinds (List.map2 ( + ) under over);
+  (* Without a flight ring the log is empty. *)
+  Alcotest.(check string) "no flight ring, empty log"
+    "== scheduler decision log (0 retained, showing last 0) ==\n"
+    (Telemetry.decisions_report (traced_world ()))
 
 let test_components_tile () =
   let tel = traced_world () in
@@ -332,11 +384,10 @@ let suite =
     ( "telemetry",
       [
         Alcotest.test_case "span ring wraparound keeps newest" `Quick test_span_ring_wraparound;
-        Alcotest.test_case "decision ring wraparound keeps newest" `Quick
-          test_decision_ring_wraparound;
+        Alcotest.test_case "span records round-trip" `Quick test_span_roundtrip;
+        Alcotest.test_case "decision log is the flight ring" `Slow test_decision_log;
         Alcotest.test_case "disabled instance is inert" `Quick test_disabled_noop;
         Alcotest.test_case "span record allocates nothing" `Quick test_span_record_allocation_free;
-        Alcotest.test_case "samples are name-sorted" `Quick test_sample_sorted;
         Alcotest.test_case "components tile end-to-end latency" `Slow test_components_tile;
         Alcotest.test_case "chrome trace JSON round-trips" `Slow test_chrome_json_roundtrip;
         Alcotest.test_case "parallel runs byte-identical to serial" `Slow
