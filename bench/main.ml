@@ -206,16 +206,18 @@ let speed_leg () =
       words to engine/qos/flash/net/telemetry/monitor scopes.
 
    2. Scheduler-tick cost curve: a standalone token scheduler with N LC
-      tenants, measuring host nanoseconds per schedule round as N grows —
-      the per-tick cost the ROADMAP's 100K-tenant item needs to stay flat
-      per tenant.
+      tenants, measuring host nanoseconds and minor-heap words per
+      schedule round as N grows — the per-tick cost the ROADMAP's
+      100K-tenant item needs to stay flat per tenant.  A steady-state
+      round over idle tenants allocates nothing, so the words column
+      should read 0.0 at every N.
 
    Both are nondeterministic host measurements (see profiler.mli); they are
    reported here and in the --json "profile" section only. *)
 
 let profile_shares : (string * float * float * float) list ref = ref []
-let tick_curve : (int * float * float) list ref = ref []
-(* (tenants, ns per round, ns per round per tenant) *)
+let tick_curve : (int * float * float * float) list ref = ref []
+(* (tenants, ns per round, ns per round per tenant, minor words per round) *)
 
 let profile_leg () =
   let open Reflex_engine in
@@ -227,8 +229,8 @@ let profile_leg () =
     (Profiler.report r.Obs_exp.profiler);
   let counts =
     match !mode with
-    | Common.Full -> [ 16; 64; 256; 1024; 4096 ]
-    | Common.Quick -> [ 16; 64; 256; 1024 ]
+    | Common.Full -> [ 16; 64; 256; 1024; 4096; 16_384; 100_000 ]
+    | Common.Quick -> [ 16; 64; 256; 1024; 16_384 ]
   in
   let rounds = match !mode with Common.Full -> 2_000 | Common.Quick -> 500 in
   Printf.printf "== scheduler-tick cost vs tenant count (%d rounds each) ==\n" rounds;
@@ -248,16 +250,22 @@ let profile_leg () =
       (* Round 0 drains the queued work; the timed rounds then measure the
          steady-state per-tick walk (refill + decision per tenant). *)
       ignore (Scheduler.schedule sched ~now:(Time.us 100) ~submit:(fun _ -> ()));
+      (* Each [Gc.minor_words] read boxes its result; subtract that. *)
+      let probe = Gc.minor_words () in
+      let mw0 = Gc.minor_words () in
+      let read_cost = mw0 -. probe in
       let t0 = Unix.gettimeofday () in
       for k = 1 to rounds do
         ignore (Scheduler.schedule sched ~now:(Time.us (100 + (100 * k))) ~submit:(fun _ -> ()))
       done;
       let wall = Unix.gettimeofday () -. t0 in
+      let mw = Gc.minor_words () -. mw0 -. read_cost in
       let ns_round = wall /. float_of_int rounds *. 1e9 in
       let ns_tenant = ns_round /. float_of_int n in
-      tick_curve := (n, ns_round, ns_tenant) :: !tick_curve;
-      Printf.printf "%6d tenants  %12.0f ns/round  %8.1f ns/round/tenant\n%!" n ns_round
-        ns_tenant)
+      let words_round = mw /. float_of_int rounds in
+      tick_curve := (n, ns_round, ns_tenant, words_round) :: !tick_curve;
+      Printf.printf "%6d tenants  %12.0f ns/round  %8.1f ns/round/tenant  %8.1f words/round\n%!"
+        n ns_round ns_tenant words_round)
     counts;
   print_newline ()
 
@@ -614,10 +622,11 @@ let write_json path =
     Printf.fprintf oc "    \"scheduler_tick\": [\n";
     let curve = List.rev !tick_curve in
     List.iteri
-      (fun i (n, ns_round, ns_tenant) ->
+      (fun i (n, ns_round, ns_tenant, words_round) ->
         Printf.fprintf oc
-          "      {\"tenants\": %d, \"ns_per_round\": %.0f, \"ns_per_tenant\": %.1f}%s\n" n
-          ns_round ns_tenant
+          "      {\"tenants\": %d, \"ns_per_round\": %.0f, \"ns_per_tenant\": %.1f, \
+           \"minor_words_per_round\": %.1f}%s\n"
+          n ns_round ns_tenant words_round
           (if i = List.length curve - 1 then "" else ","))
       curve;
     Printf.fprintf oc "    ]\n";

@@ -7,6 +7,10 @@ type 'a done_req = { payload : 'a; kind : Io_op.kind; nvme_latency : Time.t }
 
 type 'a pending = { p_payload : 'a; p_kind : Io_op.kind; p_bytes : int; p_tenant : int }
 
+(* All-float record: the per-submission [+.] stores in place, where a
+   float field of [t] would box every sum. *)
+type spent = { mutable tokens_spent : float }
+
 type 'a t = {
   sim : Sim.t;
   thread_id : int;
@@ -27,7 +31,7 @@ type 'a t = {
   mutable idle_timer : Sim.event_id option;
   created_at : Time.t;
   mutable completed : int;
-  mutable tokens_spent : float;
+  spent : spent;
   mutable rounds : int;
   (* Observability.  [tel_on] copies the telemetry instance's immutable
      enabled bit: with telemetry off every span site below costs exactly
@@ -130,7 +134,7 @@ and run_cycle t =
         match Queue_pair.submit t.qp ~kind:pend.p_kind ~bytes:pend.p_bytes ~cookie with
         | `Ok ->
           Hashtbl.replace t.outstanding cookie pend;
-          t.tokens_spent <- t.tokens_spent +. s.Scheduler.cost;
+          t.spent.tokens_spent <- t.spent.tokens_spent +. s.Scheduler.cost;
           incr submissions;
           if t.tel_on then
             Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
@@ -202,7 +206,7 @@ and finish_cycle t =
   let have_cq = Queue_pair.completions_pending t.qp > 0 in
   let have_deferred = not (Queue.is_empty t.deferred) in
   if have_rx || have_cq || have_deferred then kick t
-  else if Scheduler.backlog t.scheduler > 0.0 then
+  else if Scheduler.has_backlog t.scheduler then
     (* Only rate-limited backlog remains: re-enter the scheduler once
        tokens have accrued. *)
     match t.idle_timer with
@@ -243,7 +247,7 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
       idle_timer = None;
       created_at = Sim.now sim;
       completed = 0;
-      tokens_spent = 0.0;
+      spent = { tokens_spent = 0.0 };
       rounds = 0;
       tel = telemetry;
       tel_on = Telemetry.enabled telemetry;
@@ -264,7 +268,7 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
         float_of_int (Queue.length t.deferred));
     Telemetry.register_gauge telemetry (p ^ "rounds") (fun () -> float_of_int t.rounds);
     Telemetry.register_gauge telemetry (p ^ "completed") (fun () -> float_of_int t.completed);
-    Telemetry.register_gauge telemetry (p ^ "tokens_spent") (fun () -> t.tokens_spent);
+    Telemetry.register_gauge telemetry (p ^ "tokens_spent") (fun () -> t.spent.tokens_spent);
     Telemetry.register_gauge telemetry (p ^ "backlog") (fun () -> Scheduler.backlog t.scheduler);
     Telemetry.register_gauge telemetry (p ^ "util") (fun () -> Resource.utilization t.core)
   end;
@@ -278,9 +282,11 @@ let detach_tenant t ~id =
   | None -> None
   | Some tenant ->
     let rec drain acc =
-      match Tenant.dequeue tenant with
-      | Some (_cost, pend) -> drain ((pend.p_kind, pend.p_bytes, pend.p_payload) :: acc)
-      | None -> List.rev acc
+      if Tenant.queue_length tenant = 0 then List.rev acc
+      else begin
+        let pend = Tenant.pop tenant in
+        drain ((pend.p_kind, pend.p_bytes, pend.p_payload) :: acc)
+      end
     in
     let backlog = drain [] in
     let slo = Tenant.slo tenant and rate = Tenant.token_rate tenant in
@@ -317,11 +323,11 @@ let set_hopsink t sink =
 let set_conn_count t n = t.conns <- n
 let utilization t = Resource.utilization t.core
 let requests_completed t = t.completed
-let tokens_spent t = t.tokens_spent
+let tokens_spent t = t.spent.tokens_spent
 
 let token_usage_rate t =
   let elapsed = Time.to_float_sec (Time.diff (Sim.now t.sim) t.created_at) in
-  if elapsed <= 0.0 then 0.0 else t.tokens_spent /. elapsed
+  if elapsed <= 0.0 then 0.0 else t.spent.tokens_spent /. elapsed
 
 (* Cumulative weighted tokens this tenant's submitted requests cost — the
    per-tenant half of the load-knee signal (lib/monitor takes windowed

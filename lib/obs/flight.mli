@@ -88,8 +88,12 @@ val retained : t -> int
 (** Records lost to wraparound. *)
 val dropped : t -> int
 
-(** [record t ~now ~kind ~a ~b ~v] writes one record.  Allocation-free and
-    branch-cheap; a no-op when disabled. *)
+(** [record t ~now ~kind ~a ~b ~v] writes one record.  The recorder side
+    allocates nothing and is branch-cheap; a no-op when disabled.  The
+    caller side may not be free: under dune's default profile libraries
+    are compiled with [-opaque], so a [~v] computed at the call site in
+    another module is boxed there (two words) before the call, armed or
+    not.  A constant [~v] costs nothing. *)
 val record : t -> now:Time.t -> kind:Kind.t -> a:int -> b:int -> v:float -> unit
 
 (** [intern t label] returns a stable small id for [label], creating one on

@@ -1,41 +1,59 @@
+type level = { mutable tokens : float }
+
 type t = {
-  mutable level : float;
-  mutable active : int list;
-  marks : (int, unit) Hashtbl.t;
+  level : level;
+  mutable active : bool array; (* indexed by thread id *)
+  mutable marked : bool array; (* same length as [active] *)
+  mutable n_active : int;
+  mutable unmarked : int; (* active threads not yet marked this round *)
   mutable resets : int;
 }
 
 let create ~n_threads =
   if n_threads < 1 then invalid_arg "Global_bucket.create: n_threads < 1";
-  { level = 0.0; active = List.init n_threads Fun.id; marks = Hashtbl.create 8; resets = 0 }
+  {
+    level = { tokens = 0.0 };
+    active = Array.make n_threads true;
+    marked = Array.make n_threads false;
+    n_active = n_threads;
+    unmarked = n_threads;
+    resets = 0;
+  }
 
-let add t x = if x > 0.0 then t.level <- t.level +. x
+let cell t = t.level
+let level t = t.level.tokens
 
-let try_take t d =
-  if d <= 0.0 then 0.0
-  else begin
-    let taken = Float.min d t.level in
-    t.level <- t.level -. taken;
-    taken
-  end
-
-let level t = t.level
+let clear_marks t =
+  for i = 0 to Array.length t.marked - 1 do
+    t.marked.(i) <- false
+  done;
+  t.unmarked <- t.n_active
 
 let mark_round t ~thread_id =
-  if not (List.mem thread_id t.active) then
-    invalid_arg "Global_bucket.mark_round: thread not active";
-  Hashtbl.replace t.marks thread_id ();
-  let all = List.for_all (Hashtbl.mem t.marks) t.active in
-  if all then begin
-    t.level <- 0.0;
-    Hashtbl.reset t.marks;
-    t.resets <- t.resets + 1
-  end;
-  all
+  if thread_id < 0 || thread_id >= Array.length t.active || not t.active.(thread_id) then false
+  else begin
+    if not t.marked.(thread_id) then begin
+      t.marked.(thread_id) <- true;
+      t.unmarked <- t.unmarked - 1
+    end;
+    if t.unmarked = 0 then begin
+      t.level.tokens <- 0.0;
+      clear_marks t;
+      t.resets <- t.resets + 1;
+      true
+    end
+    else false
+  end
 
 let resets t = t.resets
 
 let set_active_threads t ids =
   if ids = [] then invalid_arg "Global_bucket.set_active_threads: empty";
-  t.active <- List.sort_uniq compare ids;
-  Hashtbl.reset t.marks
+  if List.exists (fun i -> i < 0) ids then
+    invalid_arg "Global_bucket.set_active_threads: negative thread id";
+  let n = List.fold_left max (Array.length t.active - 1) ids + 1 in
+  t.active <- Array.make n false;
+  t.marked <- Array.make n false;
+  List.iter (fun i -> t.active.(i) <- true) ids;
+  t.n_active <- Array.fold_left (fun n a -> if a then n + 1 else n) 0 t.active;
+  clear_marks t

@@ -3,9 +3,8 @@
 
     LC tenants donate spare tokens here; BE tenants on any thread may
     claim them.  Threads access it with atomic read-modify-write
-    operations in the paper; in this single-threaded simulation the
-    operations are plain, but the interface preserves the fetch-and-add
-    shape.  The bucket resets once every thread has completed at least one
+    operations in the paper; in this single-threaded simulation they are
+    plain read-modify-writes of the {!level} cell.  The bucket resets once every thread has completed at least one
     scheduling round since the last reset — the last thread to mark
     performs the reset — bounding the burst BE tenants can accumulate. *)
 
@@ -13,18 +12,22 @@ type t
 
 val create : n_threads:int -> t
 
-(** Donate tokens (atomic increment). *)
-val add : t -> float -> unit
+(** The bucket's level as an all-float cell.  {!Scheduler}'s round is
+    the only writer besides {!mark_round}'s reset: it donates with an
+    atomic-increment [+.] and claims with a decrement bounded below by
+    zero, in place, so no float is boxed across the module boundary. *)
+type level = { mutable tokens : float }
 
-(** [try_take t d] removes and returns up to [d] tokens (atomic
-    decrement bounded below by zero). *)
-val try_take : t -> float -> float
+val cell : t -> level
 
 val level : t -> float
 
-(** Mark that [thread_id] finished a scheduling round.  When all threads
-    have marked since the last reset, the bucket is zeroed.  Returns [true]
-    when this call performed the reset. *)
+(** Mark that [thread_id] finished a scheduling round.  When all active
+    threads have marked since the last reset, the bucket is zeroed.
+    Returns [true] when this call performed the reset.  A mark from a
+    thread that is not active (one retired by {!set_active_threads} while
+    its last cycle was still queued) is a no-op returning [false].
+    Allocates nothing. *)
 val mark_round : t -> thread_id:int -> bool
 
 (** Total resets so far (observability). *)
@@ -32,5 +35,6 @@ val resets : t -> int
 
 (** Replace the set of thread ids whose marks gate the periodic reset —
     used when the control plane grows or shrinks the dataplane (paper
-    §4.3).  Pending marks from removed threads are discarded. *)
+    §4.3).  All pending marks are discarded.  Raises [Invalid_argument] on
+    an empty list or a negative id. *)
 val set_active_threads : t -> int list -> unit

@@ -5,6 +5,9 @@ module Profiler = Reflex_obs.Profiler
 
 type 'a submission = { tenant_id : int; cost : float; payload : 'a }
 
+(* All-float record: the per-tenant [+.] in the LC loop stores in place. *)
+type lc_generated = { mutable lc_tokens : float }
+
 type 'a t = {
   neg_limit : float;
   donate_fraction : float;
@@ -30,14 +33,17 @@ type 'a t = {
   mutable be_n : int;
   by_id : (int, 'a Tenant.t) Hashtbl.t; (* O(1) lookup on the request path *)
   mutable be_cursor : int; (* round-robin start for fairness *)
-  mutable prev_sched_time : Time.t option;
-  mutable lc_generated : float;
+  mutable prev_sched_time : Time.t; (* meaningful once [scheduled] *)
+  mutable scheduled : bool;
+  (* The global bucket's level, cached: the round updates it in place. *)
+  level : Global_bucket.level;
+  lc_generated : lc_generated;
   (* Incrementally maintained sum of every member tenant's demand, so
      [backlog] is O(1) and allocation-free on the per-cycle path (the
-     dataplane consults it every finish_cycle).  Updated via each
-     tenant's demand listener, which also covers direct queue drains
-     (detach). *)
-  mutable backlog_agg : float;
+     dataplane consults it every finish_cycle).  Every member tenant adds
+     its demand changes to this cell, which also covers direct queue
+     drains (detach). *)
+  backlog : Tenant.backlog;
 }
 
 let create ?(neg_limit = -50.0) ?(donate_fraction = 0.9) ~global ~thread_id
@@ -68,9 +74,11 @@ let create ?(neg_limit = -50.0) ?(donate_fraction = 0.9) ~global ~thread_id
     be_n = 0;
     by_id = Hashtbl.create 64;
     be_cursor = 0;
-    prev_sched_time = None;
-    lc_generated = 0.0;
-    backlog_agg = 0.0;
+    prev_sched_time = Time.zero;
+    scheduled = false;
+    level = Global_bucket.cell global;
+    lc_generated = { lc_tokens = 0.0 };
+    backlog = { Tenant.total = 0.0 };
   }
 
 (* Per-tenant observability dimensions.  Gauges are registered when the
@@ -125,8 +133,8 @@ let add_tenant t tenant =
     t.be <- grow_push t.be t.be_n tenant;
     t.be_n <- t.be_n + 1
   end;
-  t.backlog_agg <- t.backlog_agg +. Tenant.demand tenant;
-  Tenant.set_demand_listener tenant (fun delta -> t.backlog_agg <- t.backlog_agg +. delta);
+  t.backlog.total <- t.backlog.total +. Tenant.demand tenant;
+  Tenant.attach_backlog tenant t.backlog;
   register_tenant_gauges t tenant
 
 (* Single-pass, order-preserving removal from the live prefix of [arr].
@@ -149,10 +157,10 @@ let remove_tenant t tenant_id =
   | None -> ()
   | Some tenant ->
     Hashtbl.remove t.by_id tenant_id;
-    Tenant.clear_demand_listener tenant;
+    Tenant.detach_backlog tenant;
     unregister_tenant_gauges t tenant_id;
-    t.backlog_agg <- t.backlog_agg -. Tenant.demand tenant;
-    if t.backlog_agg < 0.0 then t.backlog_agg <- 0.0;
+    t.backlog.total <- t.backlog.total -. Tenant.demand tenant;
+    if t.backlog.total < 0.0 then t.backlog.total <- 0.0;
     if Tenant.is_latency_critical tenant then begin
       t.lc_n <- remove_from t.lc t.lc_n tenant_id;
       if t.lc_n = 0 then t.lc <- [||]
@@ -175,9 +183,10 @@ let enqueue t ~tenant_id ~cost req =
   | Some tenant -> Tenant.enqueue tenant ~cost req
   | None -> raise Not_found
 
-(* O(1), allocation-free: the listener-maintained aggregate.  Clamp tiny
-   negative float drift so idle detection stays exact. *)
-let backlog t = if t.backlog_agg <= 0.0 then 0.0 else t.backlog_agg
+(* O(1): the shared backlog cell.  Clamp tiny negative float drift so
+   idle detection stays exact. *)
+let backlog t = if t.backlog.total <= 0.0 then 0.0 else t.backlog.total
+let has_backlog t = t.backlog.total > 0.0
 
 (* Request count across tenant software queues.  An O(live tenants)
    sweep over the member arrays (insertion order, no Hashtbl walk):
@@ -193,53 +202,51 @@ let queue_depth t =
   done;
   !n
 
-let lc_tokens_generated t = t.lc_generated
+let lc_tokens_generated t = t.lc_generated.lc_tokens
+
+(* The round below works on the tenants' [acct] records, the bucket's
+   level cell and the scheduler's own cells directly: under [-opaque] each
+   float passed to or returned from another module's function is boxed,
+   so Algorithm 1's token arithmetic lives here and nowhere else.  Calls
+   into [Tenant] pass and return only ints and pointers. *)
 
 (* Submit requests off [tenant]'s queue while there is demand and the
-   balance stays above [floor]; returns the count submitted. *)
-let submit_while tenant ~floor ~submit =
+   balance stays above NEG_LIMIT; returns the count submitted. *)
+let submit_while t tenant a ~submit =
   let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if Tenant.demand tenant > 0.0 && Tenant.tokens tenant > floor then begin
-      match Tenant.dequeue tenant with
-      | Some (cost, payload) ->
-        Tenant.spend_tokens tenant cost;
-        Tenant.note_submitted tenant cost;
-        submit { tenant_id = Tenant.id tenant; cost; payload };
-        incr n
-      | None -> continue := false
-    end
-    else continue := false
+  while a.Tenant.head_cost > 0.0 && a.demand > 0.0 && a.tokens > t.neg_limit do
+    let cost = a.head_cost in
+    let payload = Tenant.pop tenant in
+    a.tokens <- a.tokens -. cost;
+    a.submitted_cost <- a.submitted_cost +. cost;
+    submit { tenant_id = Tenant.id tenant; cost; payload };
+    incr n
   done;
   !n
 
 (* BE variant: a request is submitted only if the tenant can fully pay. *)
-let submit_admissible tenant ~submit =
+let submit_admissible tenant a ~submit =
   let n = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Tenant.peek_cost tenant with
-    | Some cost when cost <= Tenant.tokens tenant -> (
-      match Tenant.dequeue tenant with
-      | Some (cost, payload) ->
-        Tenant.spend_tokens tenant cost;
-        Tenant.note_submitted tenant cost;
-        submit { tenant_id = Tenant.id tenant; cost; payload };
-        incr n
-      | None -> continue := false)
-    | _ -> continue := false
+  while a.Tenant.head_cost > 0.0 && a.head_cost <= a.tokens do
+    let cost = a.head_cost in
+    let payload = Tenant.pop tenant in
+    a.tokens <- a.tokens -. cost;
+    a.submitted_cost <- a.submitted_cost +. cost;
+    submit { tenant_id = Tenant.id tenant; cost; payload };
+    incr n
   done;
   !n
 
-let schedule t ~now ~submit =
+let schedule t ~(now : Time.t) ~submit =
   Profiler.enter t.profiler Profiler.Subsystem.Qos;
+  (* [Time.to_float_sec (Time.diff now prev)], computed here so the
+     delta stays unboxed. *)
   let time_delta =
-    match t.prev_sched_time with
-    | None -> 0.0
-    | Some prev -> Time.to_float_sec (Time.diff now prev)
+    if t.scheduled then float_of_int ((now :> int) - (t.prev_sched_time :> int)) /. 1e9
+    else 0.0
   in
-  t.prev_sched_time <- Some now;
+  t.prev_sched_time <- now;
+  t.scheduled <- true;
   (* Read once; telemetry-off rounds pay exactly these immutable-bool
      tests and stay allocation-free.  The flight recorder has its own
      bit: it stays armed even when full telemetry is off, and its record
@@ -249,82 +256,84 @@ let schedule t ~now ~submit =
   let tel_on = Telemetry.enabled t.telemetry in
   let fl = t.flight in
   let fl_on = Flight.enabled fl in
+  let level = t.level in
   let submitted = ref 0 in
   (* Latency-critical tenants first (Algorithm 1, lines 4-12). *)
   for i = 0 to t.lc_n - 1 do
     let tenant = t.lc.(i) in
-    let grant = Tenant.token_rate tenant *. time_delta in
-    Tenant.add_tokens tenant grant;
-    Tenant.record_grant tenant grant;
-    t.lc_generated <- t.lc_generated +. grant;
+    let id = Tenant.id tenant in
+    let a = Tenant.acct tenant in
+    let grant = a.token_rate *. time_delta in
+    a.tokens <- a.tokens +. grant;
+    (* POS_LIMIT window: this round's grant replaces the oldest of three. *)
+    (match Tenant.next_grant_slot tenant with
+    | 0 -> a.g0 <- grant
+    | 1 -> a.g1 <- grant
+    | _ -> a.g2 <- grant);
+    a.granted_total <- a.granted_total +. grant;
+    t.lc_generated.lc_tokens <- t.lc_generated.lc_tokens +. grant;
     if fl_on then
-      Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:(Tenant.id tenant) ~b:t.thread_id
-        ~v:grant;
-    if Tenant.tokens tenant < t.neg_limit then begin
-      t.notify_control_plane (Tenant.id tenant);
+      Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:id ~b:t.thread_id ~v:grant;
+    if a.tokens < t.neg_limit then begin
+      t.notify_control_plane id;
       if fl_on then
-        Flight.record fl ~now ~kind:Flight.Kind.Deficit ~a:(Tenant.id tenant) ~b:t.thread_id
-          ~v:(Tenant.tokens tenant)
+        Flight.record fl ~now ~kind:Flight.Kind.Deficit ~a:id ~b:t.thread_id ~v:a.tokens
     end;
-    let n_lc = submit_while tenant ~floor:t.neg_limit ~submit in
+    let n_lc = submit_while t tenant a ~submit in
     submitted := !submitted + n_lc;
     if fl_on && n_lc > 0 then
-      Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:(Tenant.id tenant) ~b:n_lc
-        ~v:(Tenant.tokens tenant);
+      Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:id ~b:n_lc ~v:a.tokens;
     (* Demand left after the submit loop means the balance hit the floor:
        the scheduler is actively throttling this LC tenant. *)
-    if fl_on && Tenant.demand tenant > 0.0 then
-      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:(Tenant.id tenant) ~b:t.thread_id
-        ~v:(Tenant.demand tenant);
-    let pos_limit = Tenant.pos_limit tenant in
-    if Tenant.tokens tenant > pos_limit then begin
-      let donation = Tenant.tokens tenant *. t.donate_fraction in
-      Global_bucket.add t.global donation;
-      Tenant.spend_tokens tenant donation;
+    if fl_on && a.demand > 0.0 then
+      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:id ~b:t.thread_id ~v:a.demand;
+    let pos_limit = a.g0 +. a.g1 +. a.g2 in
+    if a.tokens > pos_limit then begin
+      let donation = a.tokens *. t.donate_fraction in
+      if donation > 0.0 then level.tokens <- level.tokens +. donation;
+      a.tokens <- a.tokens -. donation;
       if fl_on then
-        Flight.record fl ~now ~kind:Flight.Kind.Donate ~a:(Tenant.id tenant) ~b:t.thread_id
-          ~v:donation
+        Flight.record fl ~now ~kind:Flight.Kind.Donate ~a:id ~b:t.thread_id ~v:donation
     end
   done;
   (* Best-effort tenants in round-robin order (lines 13-21). *)
   let n_be = t.be_n in
   for k = 0 to n_be - 1 do
     let tenant = t.be.((t.be_cursor + k) mod n_be) in
-    let grant = Tenant.token_rate tenant *. time_delta in
-    Tenant.add_tokens tenant grant;
-    if tel_on then Tenant.note_granted tenant grant;
+    let id = Tenant.id tenant in
+    let a = Tenant.acct tenant in
+    let grant = a.token_rate *. time_delta in
+    a.tokens <- a.tokens +. grant;
+    if tel_on then a.granted_total <- a.granted_total +. grant;
     if fl_on then
-      Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:(Tenant.id tenant) ~b:t.thread_id
-        ~v:grant;
-    let deficit = Tenant.demand tenant -. Tenant.tokens tenant in
+      Flight.record fl ~now ~kind:Flight.Kind.Refill ~a:id ~b:t.thread_id ~v:grant;
+    let deficit = a.demand -. a.tokens in
     if deficit > 0.0 then begin
-      let taken = Global_bucket.try_take t.global deficit in
-      Tenant.add_tokens tenant taken;
+      (* Claim from the global bucket, bounded below by zero. *)
+      let taken = Float.min deficit level.tokens in
+      level.tokens <- level.tokens -. taken;
+      a.tokens <- a.tokens +. taken;
       if fl_on && taken > 0.0 then
-        Flight.record fl ~now ~kind:Flight.Kind.Bucket_take ~a:(Tenant.id tenant)
-          ~b:t.thread_id ~v:taken
+        Flight.record fl ~now ~kind:Flight.Kind.Bucket_take ~a:id ~b:t.thread_id ~v:taken
     end;
-    let n_sub = submit_admissible tenant ~submit in
+    let n_sub = submit_admissible tenant a ~submit in
     submitted := !submitted + n_sub;
     if fl_on && n_sub > 0 then
-      Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:(Tenant.id tenant) ~b:n_sub
-        ~v:(Tenant.tokens tenant);
-    if fl_on && Tenant.demand tenant > 0.0 then
-      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:(Tenant.id tenant) ~b:t.thread_id
-        ~v:(Tenant.demand tenant);
+      Flight.record fl ~now ~kind:Flight.Kind.Grant ~a:id ~b:n_sub ~v:a.tokens;
+    if fl_on && a.demand > 0.0 then
+      Flight.record fl ~now ~kind:Flight.Kind.Throttle ~a:id ~b:t.thread_id ~v:a.demand;
     (* DRR-inspired: no token hoarding while idle. *)
-    if Tenant.tokens tenant > 0.0 && Tenant.demand tenant = 0.0 then begin
-      let drained = Tenant.drain_tokens tenant in
-      Global_bucket.add t.global drained;
-      if fl_on && drained > 0.0 then
-        Flight.record fl ~now ~kind:Flight.Kind.Idle_drain ~a:(Tenant.id tenant)
-          ~b:t.thread_id ~v:drained
+    if a.tokens > 0.0 && a.demand = 0.0 then begin
+      let drained = a.tokens in
+      a.tokens <- 0.0;
+      level.tokens <- level.tokens +. drained;
+      if fl_on then
+        Flight.record fl ~now ~kind:Flight.Kind.Idle_drain ~a:id ~b:t.thread_id ~v:drained
     end
   done;
   if n_be > 0 then t.be_cursor <- (t.be_cursor + 1) mod n_be;
   let reset = Global_bucket.mark_round t.global ~thread_id:t.thread_id in
   if fl_on && reset then
-    Flight.record fl ~now ~kind:Flight.Kind.Bucket_reset ~a:(-1) ~b:t.thread_id
-      ~v:(Global_bucket.level t.global);
+    Flight.record fl ~now ~kind:Flight.Kind.Bucket_reset ~a:(-1) ~b:t.thread_id ~v:level.tokens;
   Profiler.leave t.profiler Profiler.Subsystem.Qos;
   !submitted

@@ -10,7 +10,20 @@
     order, may claim from the global bucket, submit only requests they can
     fully pay for, and may not hold tokens while idle (Deficit Round Robin
     inspired).  Finally the thread marks its round on the global bucket,
-    whose periodic reset bounds BE bursts. *)
+    whose periodic reset bounds BE bursts.
+
+    One round allocates nothing but the {!submission} record (with its
+    boxed [cost]) of each granted request, and, with the flight recorder
+    armed, the box of each decision record's computed value (see
+    {!Reflex_obs.Flight.record}).  Algorithm 1's token arithmetic lives
+    in this module alone: the LC and BE loops read and write the tenants'
+    all-float {!Tenant.acct} records, the bucket's {!Global_bucket.level}
+    cell and the scheduler's own float cells in place, and call into
+    {!Tenant} only with ints and pointers ({!Tenant.pop},
+    {!Tenant.next_grant_slot}), so no float crosses a compilation-unit
+    boundary (which boxes it under [-opaque]).  Idle
+    tenants are still visited every round: their refills and donations
+    feed the global bucket in tenant order. *)
 
 type 'a t
 
@@ -51,11 +64,16 @@ val enqueue : 'a t -> tenant_id:int -> cost:float -> 'a -> unit
     submissions. *)
 val schedule : 'a t -> now:Reflex_engine.Time.t -> submit:('a submission -> unit) -> int
 
-(** Total demand (tokens) sitting in this thread's tenant queues.  O(1)
-    and allocation-free: an aggregate maintained incrementally through
-    each tenant's demand listener (it stays consistent even when a
-    tenant's queue is drained directly, as on detach). *)
+(** Total demand (tokens) sitting in this thread's tenant queues.  O(1):
+    every member tenant adds its demand changes to one shared
+    {!Tenant.backlog} cell, which stays consistent even when a tenant's
+    queue is drained directly, as on detach.  The result is boxed when
+    called from another module; {!has_backlog} is not. *)
 val backlog : 'a t -> float
+
+(** [backlog t > 0.0], without boxing the float: the dataplane's idle
+    test after every cycle. *)
+val has_backlog : 'a t -> bool
 
 (** Requests (not tokens) sitting in this thread's tenant software
     queues.  O(live tenants) sweep — a probe-path metric for the

@@ -148,6 +148,35 @@ let speed_run backend =
   let mwpe = if n > 0 then mw /. float_of_int n else 0.0 in
   (n, Sim.now sim, eps, mwpe)
 
+(* ---------------- QoS round allocation gate ---------------- *)
+
+(* Minor words per steady-state scheduling round over [n] idle LC
+   tenants.  The round works on all-float tenant accounts in place, so
+   this is a deterministic 0.0 whatever [n] is: a count, not a wall-time
+   gate. *)
+let qos_idle_round_words n =
+  let open Reflex_qos in
+  let global = Global_bucket.create ~n_threads:1 in
+  let sched = Scheduler.create ~global ~thread_id:0 () in
+  let slo = Slo.latency_critical ~latency_us:500 ~iops:1000.0 ~read_pct:100 in
+  for id = 1 to n do
+    Scheduler.add_tenant sched (Tenant.create ~id ~slo ~token_rate:1e6);
+    Scheduler.enqueue sched ~tenant_id:id ~cost:1.0 ()
+  done;
+  let submit _ = () in
+  (* Round 0 drains the queued work; round 1 settles the balances. *)
+  ignore (Scheduler.schedule sched ~now:(Time.us 100) ~submit);
+  ignore (Scheduler.schedule sched ~now:(Time.us 200) ~submit);
+  let rounds = 10 in
+  (* Each [Gc.minor_words] read boxes its result; subtract that. *)
+  let probe = Gc.minor_words () in
+  let mw0 = Gc.minor_words () in
+  let read_cost = mw0 -. probe in
+  for k = 1 to rounds do
+    ignore (Scheduler.schedule sched ~now:(Time.us (200 + (100 * k))) ~submit)
+  done;
+  (Gc.minor_words () -. mw0 -. read_cost) /. float_of_int rounds
+
 (* ---------------- Flight-recorder cost and dump determinism ---------------- *)
 
 module Flight = Reflex_obs.Flight
@@ -377,7 +406,7 @@ let write_json path ~rows ~parallel_eq ~wall_parallel ~off_s ~on_s ~overhead_pct
     ~backend_sweep_eq ~o_inert_eps ~o_armed_eps ~o_churn_pct ~o_ns_per_record ~o_identical
     ~o_on_s ~o_wall_pct ~o_sweep_eq ~o_dump_digest ~o_dump_eq ~rack_n ~rack_eps
     ~rack_migrations ~ro_inert_eps ~ro_armed_eps ~ro_overhead_pct ~ro_ns ~ro_traced
-    ~ro_tiling_ok ~(lint : Lint_driver.report) ~lint_wall_s ~lint_jobs_eq =
+    ~ro_tiling_ok ~q_tenants ~q_words ~(lint : Lint_driver.report) ~lint_wall_s ~lint_jobs_eq =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"seed\": %Ld,\n" world_seed;
@@ -435,6 +464,10 @@ let write_json path ~rows ~parallel_eq ~wall_parallel ~off_s ~on_s ~overhead_pct
   Printf.fprintf oc "    \"ns_per_hop_record\": %.1f,\n" ro_ns;
   Printf.fprintf oc "    \"traced_requests\": %d,\n" ro_traced;
   Printf.fprintf oc "    \"tiling_exact\": %b\n" ro_tiling_ok;
+  Printf.fprintf oc "  },\n";
+  Printf.fprintf oc "  \"qos\": {\n";
+  Printf.fprintf oc "    \"idle_tenants\": %d,\n" q_tenants;
+  Printf.fprintf oc "    \"minor_words_per_round\": %.1f\n" q_words;
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"lint\": {\n";
   Printf.fprintf oc "    \"files_scanned\": %d,\n" lint.Lint_driver.files_scanned;
@@ -678,6 +711,14 @@ let () =
   let speed_ok = gate "heap" h_eps && gate "wheel" w_eps in
   if speed_ok then print_endline "bench smoke OK: events/sec within 20% of baseline"
   else print_endline "bench smoke FAILED: events/sec regressed >20% vs BENCH_BASELINE.json";
+  (* QoS round gate: a steady-state scheduling round over 100K idle LC
+     tenants allocates exactly nothing. *)
+  let q_tenants = 100_000 in
+  let q_words = qos_idle_round_words q_tenants in
+  Printf.printf "[qos: %.1f minor words per idle round over %d LC tenants]\n" q_words q_tenants;
+  let qos_ok = Float.equal q_words 0.0 in
+  if qos_ok then print_endline "bench smoke OK: an idle QoS round allocates nothing"
+  else print_endline "bench smoke FAILED: an idle QoS round allocates";
   (* Rack balancer gate: best-of-3 balanced-requests/sec through the
      request-level balancing path vs the "rack" floor, plus the skew
      detector's migration micro (online migration must stay live). *)
@@ -784,11 +825,11 @@ let () =
       ~o_sweep_eq ~o_dump_digest ~o_dump_eq ~rack_n ~rack_eps ~rack_migrations
       ~ro_inert_eps ~ro_armed_eps ~ro_overhead_pct ~ro_ns
       ~ro_traced:(Reflex_rack_obs.Rack_obs.traced ro_obs)
-      ~ro_tiling_ok ~lint ~lint_wall_s ~lint_jobs_eq
+      ~ro_tiling_ok ~q_tenants ~q_words ~lint ~lint_wall_s ~lint_jobs_eq
   | None -> ());
   if
     not
       (parallel_eq && sim_identical && f_identical && m_identical && s_identical
      && backend_sweep_eq && speed_ok && o_identical && o_floor_ok && o_sweep_eq && o_wall_ok
-     && o_dump_eq && rack_ok && rack_obs_ok && lint_clean && lint_jobs_eq)
+     && o_dump_eq && qos_ok && rack_ok && rack_obs_ok && lint_clean && lint_jobs_eq)
   then exit 1

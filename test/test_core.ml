@@ -377,6 +377,32 @@ let test_e2e_thread_scaling_rebalances () =
   ignore (Sim.run sim);
   Alcotest.(check int) "served after scale-down" 4 !ok2
 
+(* Scaling down while I/O is in flight: the retired thread still has a
+   cycle queued on its core, and that cycle's scheduling round marks the
+   global bucket for a thread that is no longer active.  The mark must be
+   a no-op, not an exception out of [Sim.run]. *)
+let test_e2e_scale_down_under_load () =
+  let sim, fabric, server = setup ~n_threads:2 ~max_threads:2 () in
+  let clients = List.init 4 (fun _ -> connect_client sim fabric server ()) in
+  List.iteri (fun i c -> Client_lib.register c ~tenant:(i + 1) (fun _ -> ())) clients;
+  ignore (Sim.run sim);
+  let t0 = Sim.now sim in
+  let until = Time.add t0 (Time.ms 20) in
+  let gens =
+    List.mapi
+      (fun i c ->
+        Load_gen.open_loop sim ~client:c ~rate:200_000.0 ~read_ratio:1.0 ~bytes:4096 ~until
+          ~seed:(Int64.of_int (71 + i)) ())
+      clients
+  in
+  ignore (Sim.at sim (Time.add t0 (Time.ms 5)) (fun () -> Server.scale_threads server 1));
+  ignore (Sim.run sim);
+  Alcotest.(check int) "one active thread" 1 (Server.active_threads server);
+  let issued = List.fold_left (fun n g -> n + Load_gen.issued g) 0 gens in
+  let completed = List.fold_left (fun n g -> n + Load_gen.completed g) 0 gens in
+  Alcotest.(check bool) (Printf.sprintf "requests issued (%d)" issued) true (issued > 10_000);
+  Alcotest.(check int) "every issued request completes" issued completed
+
 let test_e2e_autoscaling () =
   (* §4.3: the local control plane right-sizes the thread count.  Flood a
      1-thread server (max 4) past one core's capacity: the monitor must
@@ -822,6 +848,7 @@ let suite =
         Alcotest.test_case "raw io on unregistered conn denied" `Quick
           test_e2e_raw_io_on_unregistered_conn_denied;
         Alcotest.test_case "thread scaling rebalances" `Quick test_e2e_thread_scaling_rebalances;
+        Alcotest.test_case "scale-down under load" `Quick test_e2e_scale_down_under_load;
         Alcotest.test_case "autoscaling grows under load" `Slow test_e2e_autoscaling;
         Alcotest.test_case "QoS protects LC from BE writes (Fig 5)" `Slow
           test_e2e_qos_protects_lc_tenant;

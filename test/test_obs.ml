@@ -186,6 +186,25 @@ let test_record_allocation_free () =
   Alcotest.(check int) "recorded" 10_000 (Flight.total fl);
   Alcotest.(check (float 0.0)) "minor words for 10k armed records" 0.0 words
 
+(* The literal [~v] above is a static constant and never boxed, so that
+   pin cannot see the caller's side.  A [~v] computed at the call site, as
+   the scheduler's grant and donation values are, crosses into another
+   compilation unit and, under [-opaque], is boxed there: two words (header
+   plus the double) per armed record, paid by the caller.  The recorder's
+   own stores still allocate nothing. *)
+let test_record_computed_v_boxes_at_call_site () =
+  let fl = Flight.create ~capacity:1024 () in
+  let rate = 0.25 +. float_of_int (Flight.total fl) in
+  let words =
+    Test_util.minor_words (fun () ->
+        for i = 1 to 10_000 do
+          Flight.record fl ~now:(Time.ns i) ~kind:Flight.Kind.Grant ~a:i ~b:(i + 1)
+            ~v:(rate *. float_of_int i)
+        done)
+  in
+  Alcotest.(check int) "recorded" 10_000 (Flight.total fl);
+  Alcotest.(check (float 0.0)) "minor words for 10k computed-v records" 20_000.0 words
+
 let suite =
   [
     ( "flight",
@@ -196,6 +215,8 @@ let suite =
         Alcotest.test_case "intern table" `Quick test_intern_labels;
         Alcotest.test_case "kind roundtrip" `Quick test_kind_roundtrip;
         Alcotest.test_case "armed record allocates nothing" `Quick test_record_allocation_free;
+        Alcotest.test_case "computed v is boxed by the caller" `Quick
+          test_record_computed_v_boxes_at_call_site;
       ] );
     ( "profiler",
       [ Alcotest.test_case "scope accounting" `Quick test_profiler_accounting ] );

@@ -62,19 +62,42 @@ let test_cost_of_fitted () =
 (* Global_bucket                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The scheduler's round is the only writer of the bucket's level besides
+   the reset; tests seed it through the same cell. *)
+let donate global x =
+  let level = Global_bucket.cell global in
+  level.tokens <- level.tokens +. x
+
+let new_sched ?neg_limit ?notify ?(n_threads = 1) ?(thread_id = 0) () =
+  let global = Global_bucket.create ~n_threads in
+  let sched =
+    Scheduler.create ?neg_limit ~global ~thread_id ?notify_control_plane:notify ()
+  in
+  (global, sched)
+
 let test_bucket_add_take () =
-  let b = Global_bucket.create ~n_threads:1 in
-  Global_bucket.add b 10.0;
-  Alcotest.(check (float 1e-9)) "level" 10.0 (Global_bucket.level b);
-  Alcotest.(check (float 1e-9)) "partial take" 4.0 (Global_bucket.try_take b 4.0);
-  Alcotest.(check (float 1e-9)) "take beyond level" 6.0 (Global_bucket.try_take b 100.0);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Global_bucket.try_take b 1.0);
-  Global_bucket.add b (-5.0);
-  Alcotest.(check (float 1e-9)) "negative add ignored" 0.0 (Global_bucket.level b)
+  (* A BE tenant with no rate of its own claims its deficit from the
+     bucket, at most what is there; the level never goes below zero.
+     Thread 1 never marks, so the bucket is not reset between rounds. *)
+  let global, sched = new_sched ~n_threads:2 () in
+  let be = Tenant.create ~id:1 ~slo:(Slo.best_effort ()) ~token_rate:0.0 in
+  Scheduler.add_tenant sched be;
+  donate global 10.0;
+  let round us = Scheduler.schedule sched ~now:(Time.us us) ~submit:(fun _ -> ()) in
+  Scheduler.enqueue sched ~tenant_id:1 ~cost:4.0 ();
+  Alcotest.(check int) "claim pays the request" 1 (round 100);
+  Alcotest.(check (float 1e-9)) "partial take" 6.0 (Global_bucket.level global);
+  Scheduler.enqueue sched ~tenant_id:1 ~cost:100.0 ();
+  Alcotest.(check int) "deficit beyond the level" 0 (round 200);
+  Alcotest.(check (float 1e-9)) "take beyond level empties it" 0.0 (Global_bucket.level global);
+  Alcotest.(check (float 1e-9)) "tenant holds what it took" 6.0 (Tenant.tokens be);
+  ignore (round 300);
+  Alcotest.(check (float 1e-9)) "empty bucket gives nothing" 6.0 (Tenant.tokens be);
+  Alcotest.(check (float 1e-9)) "level stays at zero" 0.0 (Global_bucket.level global)
 
 let test_bucket_reset_last_thread () =
   let b = Global_bucket.create ~n_threads:3 in
-  Global_bucket.add b 100.0;
+  donate b 100.0;
   Alcotest.(check bool) "thread 0 marks" false (Global_bucket.mark_round b ~thread_id:0);
   Alcotest.(check bool) "thread 2 marks" false (Global_bucket.mark_round b ~thread_id:2);
   Alcotest.(check (float 1e-9)) "not reset yet" 100.0 (Global_bucket.level b);
@@ -82,7 +105,7 @@ let test_bucket_reset_last_thread () =
   Alcotest.(check (float 1e-9)) "reset to zero" 0.0 (Global_bucket.level b);
   Alcotest.(check int) "reset counted" 1 (Global_bucket.resets b);
   (* Marks clear after a reset: a full new round is needed. *)
-  Global_bucket.add b 5.0;
+  donate b 5.0;
   Alcotest.(check bool) "fresh round" false (Global_bucket.mark_round b ~thread_id:0);
   Alcotest.(check (float 1e-9)) "still there" 5.0 (Global_bucket.level b)
 
@@ -94,37 +117,74 @@ let lc_slo = Slo.latency_critical ~latency_us:500 ~iops:100_000.0 ~read_pct:80
 
 let test_tenant_queue () =
   let t = Tenant.create ~id:1 ~slo:lc_slo ~token_rate:280_000.0 in
+  let a = Tenant.acct t in
   Alcotest.(check (float 1e-9)) "no demand" 0.0 (Tenant.demand t);
+  Alcotest.(check (float 0.0)) "empty queue has no head cost" 0.0 a.head_cost;
   Tenant.enqueue t ~cost:1.0 "a";
   Tenant.enqueue t ~cost:10.0 "b";
   Alcotest.(check (float 1e-9)) "demand sums costs" 11.0 (Tenant.demand t);
-  Alcotest.(check (option (float 1e-9))) "peek" (Some 1.0) (Tenant.peek_cost t);
-  (match Tenant.dequeue t with
-  | Some (c, v) ->
-    Alcotest.(check (float 1e-9)) "fifo cost" 1.0 c;
-    Alcotest.(check string) "fifo value" "a" v
-  | None -> Alcotest.fail "dequeue");
+  Alcotest.(check (float 0.0)) "head cost" 1.0 a.head_cost;
+  Alcotest.(check string) "fifo value" "a" (Tenant.pop t);
+  Alcotest.(check (float 0.0)) "next head cost" 10.0 a.head_cost;
   Alcotest.(check (float 1e-9)) "demand shrinks" 10.0 (Tenant.demand t);
-  Alcotest.(check int) "length" 1 (Tenant.queue_length t)
+  Alcotest.(check int) "length" 1 (Tenant.queue_length t);
+  Alcotest.check_raises "non-positive cost" (Invalid_argument "Tenant.enqueue: non-positive cost")
+    (fun () -> Tenant.enqueue t ~cost:0.0 "c")
+
+(* One round at [us] microseconds. *)
+let round_at sched us = ignore (Scheduler.schedule sched ~now:(Time.us us) ~submit:(fun _ -> ()))
 
 let test_tenant_pos_limit_window () =
-  let t = Tenant.create ~id:1 ~slo:lc_slo ~token_rate:1.0 in
-  Tenant.record_grant t 10.0;
-  Tenant.record_grant t 20.0;
-  Tenant.record_grant t 30.0;
-  Alcotest.(check (float 1e-9)) "3-round sum" 60.0 (Tenant.pos_limit t);
-  Tenant.record_grant t 40.0;
-  (* Oldest (10) falls out of the window. *)
-  Alcotest.(check (float 1e-9)) "sliding window" 90.0 (Tenant.pos_limit t)
+  (* POS_LIMIT is the sum of the last three rounds' grants: an idle LC
+     tenant keeps a balance up to it and donates 90% of a balance above
+     it (thread 1 never marks, so the bucket keeps the donations).
+     20 tokens/s at round spacings of 0.5, 1, 1.5 and 2 s grants exactly
+     10, 20, 30 and 40 tokens (the first round grants none). *)
+  let global, sched = new_sched ~n_threads:2 () in
+  let t = Tenant.create ~id:1 ~slo:lc_slo ~token_rate:20.0 in
+  Scheduler.add_tenant sched t;
+  List.iter (round_at sched) [ 500_000; 1_000_000; 2_000_000; 3_500_000 ];
+  Alcotest.(check (float 1e-9)) "balance of 60 = 3-round sum, kept" 60.0 (Tenant.tokens t);
+  Alcotest.(check (float 1e-9)) "nothing donated" 0.0 (Global_bucket.level global);
+  round_at sched 5_500_000;
+  (* Oldest (10) falls out of the window: 100 > 20 + 30 + 40. *)
+  Alcotest.(check (float 1e-9)) "sliding window: 90% donated" 90.0 (Global_bucket.level global);
+  Alcotest.(check (float 1e-9)) "10% kept" 10.0 (Tenant.tokens t)
 
 let test_tenant_tokens () =
+  (* An LC balance may go negative (down to NEG_LIMIT) to pay for a
+     request; an idle BE balance is drained into the global bucket. *)
+  let global, sched = new_sched ~n_threads:2 () in
+  let lc = Tenant.create ~id:1 ~slo:lc_slo ~token_rate:20.0 in
+  let be = Tenant.create ~id:2 ~slo:(Slo.best_effort ()) ~token_rate:20.0 in
+  Scheduler.add_tenant sched lc;
+  Scheduler.add_tenant sched be;
+  round_at sched 500_000;
+  Scheduler.enqueue sched ~tenant_id:1 ~cost:15.0 ();
+  round_at sched 1_000_000;
+  Alcotest.(check (float 1e-9)) "can go negative" (-5.0) (Tenant.tokens lc);
+  Alcotest.(check (float 1e-9)) "submission debited" 15.0 (Tenant.submitted_cost_total lc);
+  Alcotest.(check (float 1e-9)) "drained" 0.0 (Tenant.tokens be);
+  Alcotest.(check (float 1e-9)) "into the bucket" 10.0 (Global_bucket.level global)
+
+(* Popped requests are not kept alive by the ring: a vacated slot is
+   overwritten with the tenant's first request. *)
+let test_tenant_ring_releases_popped () =
   let t = Tenant.create ~id:1 ~slo:lc_slo ~token_rate:1.0 in
-  Tenant.add_tokens t 5.0;
-  Tenant.spend_tokens t 7.0;
-  Alcotest.(check (float 1e-9)) "can go negative" (-2.0) (Tenant.tokens t);
-  Tenant.add_tokens t 3.0;
-  Alcotest.(check (float 1e-9)) "drain" 1.0 (Tenant.drain_tokens t);
-  Alcotest.(check (float 1e-9)) "drained" 0.0 (Tenant.tokens t)
+  let w = Weak.create 8 in
+  for k = 0 to 7 do
+    let r = ref k in
+    Weak.set w k (Some r);
+    Tenant.enqueue t ~cost:1.0 r
+  done;
+  for _ = 0 to 7 do
+    ignore (Tenant.pop t)
+  done;
+  Gc.full_major ();
+  let live = List.filter (Weak.check w) (List.init 8 Fun.id) in
+  Alcotest.(check (list int)) "only the filler survives" [ 0 ] live;
+  (* [t] is live across the collection. *)
+  Alcotest.(check int) "ring empty" 0 (Tenant.queue_length t)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler (Algorithm 1)                                            *)
@@ -141,13 +201,6 @@ let run_rounds ?(rounds = 100) ?(round_us = 100) sched ~feed =
     ignore (Scheduler.schedule sched ~now ~submit:(fun s -> out := s :: !out))
   done;
   List.rev !out
-
-let new_sched ?neg_limit ?notify ?(n_threads = 1) ?(thread_id = 0) () =
-  let global = Global_bucket.create ~n_threads in
-  let sched =
-    Scheduler.create ?neg_limit ~global ~thread_id ?notify_control_plane:notify ()
-  in
-  (global, sched)
 
 let count_for id subs =
   List.length (List.filter (fun s -> s.Scheduler.tenant_id = id) subs)
@@ -304,7 +357,7 @@ let test_be_round_robin_rotates () =
   Scheduler.add_tenant sched (Tenant.create ~id:2 ~slo:(Slo.best_effort ()) ~token_rate:0.0);
   let winners = ref [] in
   for i = 1 to 10 do
-    Global_bucket.add global 1.0;
+    donate global 1.0;
     (if Scheduler.find_tenant sched 1 <> None then
        match Scheduler.find_tenant sched 1 with
        | Some t1 when Tenant.demand t1 = 0.0 -> Scheduler.enqueue sched ~tenant_id:1 ~cost:1.0 1
@@ -378,7 +431,7 @@ let test_remove_tenant_preserves_order_and_cursor () =
   (* Survivors still rotate: with one token per round, both must win. *)
   let winners = ref [] in
   for i = 5 to 14 do
-    Global_bucket.add global 1.0;
+    donate global 1.0;
     List.iter
       (fun id ->
         match Scheduler.find_tenant sched id with
@@ -417,10 +470,10 @@ let test_backlog_aggregate_tracks_demand () =
   Scheduler.enqueue sched ~tenant_id:2 ~cost:10.0 ();
   check "after enqueues";
   Alcotest.(check (float 1e-6)) "sums costs" 11.0 (Scheduler.backlog sched);
-  (* Detach-style direct drain, bypassing the scheduler: the demand
-     listener keeps the aggregate honest. *)
+  (* Detach-style direct drain, bypassing the scheduler: the shared
+     backlog cell keeps the aggregate honest. *)
   (match Scheduler.find_tenant sched 2 with
-  | Some t -> ignore (Tenant.dequeue t)
+  | Some t -> ignore (Tenant.pop t)
   | None -> Alcotest.fail "tenant 2 missing");
   check "after direct dequeue";
   ignore (Scheduler.schedule sched ~now:(Time.us 100) ~submit:(fun _ -> ()));
@@ -452,8 +505,8 @@ let prop_backlog_aggregate_consistent =
             with Not_found -> ())
           | 2 -> (
             match Scheduler.find_tenant sched id with
-            | Some t -> ignore (Tenant.dequeue t)
-            | None -> ())
+            | Some t when Tenant.queue_length t > 0 -> ignore (Tenant.pop t)
+            | _ -> ())
           | 3 ->
             incr round;
             ignore (Scheduler.schedule sched ~now:(Time.us (!round * 100)) ~submit:(fun _ -> ()))
@@ -566,6 +619,139 @@ let prop_per_tenant_fifo =
           ok && in_order (List.rev submitted))
         out true)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation pins                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A scheduler with [n_lc] LC and [n_be] BE tenants (ids from 1), each of
+   whose rings has already grown once, past its first scheduled round.
+   The bucket resets after every round unless [n_threads] > 1 (only
+   thread 0 marks). *)
+let warm_sched ?(n_threads = 1) ~n_lc ~n_be () =
+  let global = Global_bucket.create ~n_threads in
+  let sched = Scheduler.create ~global ~thread_id:0 () in
+  for id = 1 to n_lc do
+    Scheduler.add_tenant sched (Tenant.create ~id ~slo:lc_slo ~token_rate:10_000.0)
+  done;
+  for id = n_lc + 1 to n_lc + n_be do
+    Scheduler.add_tenant sched (Tenant.create ~id ~slo:(Slo.best_effort ()) ~token_rate:10_000.0)
+  done;
+  for id = 1 to n_lc + n_be do
+    Scheduler.enqueue sched ~tenant_id:id ~cost:1.0 ()
+  done;
+  ignore (Scheduler.schedule sched ~now:(Time.us 100) ~submit:(fun _ -> ()));
+  ignore (Scheduler.schedule sched ~now:(Time.us 200) ~submit:(fun _ -> ()));
+  Alcotest.(check (float 0.0)) "warm-up drained every queue" 0.0 (Scheduler.backlog sched);
+  (global, sched)
+
+(* The Algorithm-1 round works on all-float records in place: a
+   steady-state round over idle tenants allocates nothing, however many
+   tenants it walks (refill, POS_LIMIT ring, donation, idle drain, bucket
+   mark). *)
+let test_idle_round_allocation_free () =
+  let _, sched = warm_sched ~n_lc:1_000 ~n_be:8 () in
+  let submit _ = () in
+  let words =
+    Test_util.minor_words (fun () ->
+        for k = 3 to 12 do
+          ignore (Scheduler.schedule sched ~now:(Time.us (100 * k)) ~submit)
+        done)
+  in
+  Alcotest.(check (float 0.0)) "minor words for 10 idle rounds over 1008 tenants" 0.0 words
+
+(* A granting round allocates the hand-off only: one submission record
+   (header + 3 fields) and its boxed cost (header + 1) per granted
+   request, nothing per tenant. *)
+let submission_words = 6
+
+let test_granting_round_allocates_submissions_only () =
+  let n_lc = 200 and n_be = 8 in
+  let global, sched = warm_sched ~n_threads:2 ~n_lc ~n_be () in
+  (* Two requests per tenant; each ring keeps the 4 slots it grew to in
+     warm-up.  A BE tenant's refill covers one, so it claims the other's
+     token from the global bucket, which this round does not reset. *)
+  for id = 1 to n_lc + n_be do
+    Scheduler.enqueue sched ~tenant_id:id ~cost:1.0 ();
+    Scheduler.enqueue sched ~tenant_id:id ~cost:1.0 ()
+  done;
+  donate global 1_000.0;
+  let level = Global_bucket.level global in
+  let granted = ref 0 in
+  let submit _ = incr granted in
+  let n = ref 0 in
+  let words =
+    Test_util.minor_words (fun () -> n := Scheduler.schedule sched ~now:(Time.us 300) ~submit)
+  in
+  Alcotest.(check int) "every queued request granted" (2 * (n_lc + n_be)) !n;
+  Alcotest.(check (float 1e-9)) "BE tenants claimed from the bucket" (float_of_int n_be)
+    (level -. Global_bucket.level global);
+  Alcotest.(check int) "submit called per grant" !n !granted;
+  Alcotest.(check (float 0.0)) "minor words: submissions only"
+    (float_of_int (!n * submission_words))
+    words
+
+(* Marks, resets and marks from retired threads allocate nothing. *)
+let test_mark_round_allocation_free () =
+  let b = Global_bucket.create ~n_threads:4 in
+  Global_bucket.set_active_threads b [ 0; 1; 2 ];
+  let resets = ref 0 in
+  let words =
+    Test_util.minor_words (fun () ->
+        for _ = 1 to 1_000 do
+          for thread_id = 0 to 3 do
+            if Global_bucket.mark_round b ~thread_id then incr resets
+          done
+        done)
+  in
+  Alcotest.(check int) "one reset per full round" 1_000 !resets;
+  Alcotest.(check (float 0.0)) "minor words for 4000 marks" 0.0 words
+
+(* A retired thread's late mark is a no-op: it neither raises nor counts
+   toward the active threads' round. *)
+let test_mark_from_retired_thread () =
+  let b = Global_bucket.create ~n_threads:2 in
+  donate b 8.0;
+  Global_bucket.set_active_threads b [ 0 ];
+  Alcotest.(check bool) "retired thread's mark ignored" false
+    (Global_bucket.mark_round b ~thread_id:1);
+  Alcotest.(check bool) "unknown thread's mark ignored" false
+    (Global_bucket.mark_round b ~thread_id:7);
+  Alcotest.(check (float 1e-9)) "level untouched" 8.0 (Global_bucket.level b);
+  Alcotest.(check bool) "active thread resets" true (Global_bucket.mark_round b ~thread_id:0);
+  Alcotest.(check int) "one reset" 1 (Global_bucket.resets b)
+
+(* The queue ring keeps FIFO order and its demand sum across wraparound
+   and growth. *)
+let test_tenant_ring_wraparound () =
+  let t = Tenant.create ~id:1 ~slo:lc_slo ~token_rate:1.0 in
+  let next = ref 0 and expect = ref 0 in
+  let push () =
+    Tenant.enqueue t ~cost:(float_of_int (1 + (!next mod 3))) !next;
+    incr next
+  in
+  let pop () =
+    let cost = (Tenant.acct t).head_cost in
+    Alcotest.(check (float 0.0)) "cost travels with its request"
+      (float_of_int (1 + (!expect mod 3)))
+      cost;
+    Alcotest.(check int) "fifo" !expect (Tenant.pop t);
+    incr expect
+  in
+  for round = 1 to 40 do
+    for _ = 1 to round mod 7 do
+      push ()
+    done;
+    for _ = 1 to min (Tenant.queue_length t) (round mod 5) do
+      pop ()
+    done
+  done;
+  while Tenant.queue_length t > 0 do
+    pop ()
+  done;
+  Alcotest.(check (float 1e-9)) "demand back to zero" 0.0 (Tenant.demand t);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Tenant.pop: empty queue") (fun () ->
+      ignore (Tenant.pop t))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -581,12 +767,16 @@ let suite =
       [
         Alcotest.test_case "add/take" `Quick test_bucket_add_take;
         Alcotest.test_case "last thread resets" `Quick test_bucket_reset_last_thread;
+        Alcotest.test_case "mark from a retired thread" `Quick test_mark_from_retired_thread;
+        Alcotest.test_case "mark_round allocates nothing" `Quick test_mark_round_allocation_free;
       ] );
     ( "tenant",
       [
         Alcotest.test_case "queue accounting" `Quick test_tenant_queue;
         Alcotest.test_case "POS_LIMIT window" `Quick test_tenant_pos_limit_window;
         Alcotest.test_case "token balance" `Quick test_tenant_tokens;
+        Alcotest.test_case "ring wraparound and growth" `Quick test_tenant_ring_wraparound;
+        Alcotest.test_case "ring releases popped requests" `Quick test_tenant_ring_releases_popped;
       ] );
     ( "scheduler",
       [
@@ -604,6 +794,9 @@ let suite =
           test_remove_tenant_preserves_order_and_cursor;
         Alcotest.test_case "backlog aggregate tracks demand" `Quick
           test_backlog_aggregate_tracks_demand;
+        Alcotest.test_case "idle round allocates nothing" `Quick test_idle_round_allocation_free;
+        Alcotest.test_case "granting round allocates submissions only" `Quick
+          test_granting_round_allocates_submissions_only;
         qcheck prop_token_conservation;
         qcheck prop_be_never_negative;
         qcheck prop_per_tenant_fifo;
