@@ -456,7 +456,7 @@ let micro_benchmarks () =
   in
   let codec_roundtrip =
     let msg =
-      Reflex_proto.Message.Read_req { handle = 7; req_id = 42; lba = 123L; len = 4096 }
+      Reflex_proto.Message.Read_req { handle = 7; req_id = 42; lba = 123; len = 4096 }
     in
     let buf = Bytes.create 64 in
     Test.make ~name:"proto_codec_roundtrip"
@@ -479,8 +479,7 @@ let micro_benchmarks () =
               ~prng:(Prng.create 1L)
           in
           fun () ->
-            Reflex_flash.Nvme_model.submit dev ~kind:Reflex_flash.Io_op.Read ~bytes:4096
-              (fun ~latency:_ -> ());
+            Reflex_flash.Nvme_model.submit dev ~kind:Reflex_flash.Io_op.Read ~bytes:4096 ignore 0;
             ignore (Sim.run sim)))
   in
   let heap_churn =

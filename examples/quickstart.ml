@@ -30,20 +30,20 @@ let () =
   ignore (Sim.run sim);
 
   (* Write a block, read it back, time both. *)
-  Client_lib.write client ~lba:42L ~len:4096 (fun status ~latency ->
+  Client_lib.write client ~lba:42 ~len:4096 (fun status ~latency ->
       Printf.printf "write 4KB @ lba 42: %s in %s\n"
         (Message.status_to_string status)
         (Time.to_string latency));
   ignore (Sim.run sim);
-  Client_lib.read client ~lba:42L ~len:4096 (fun status ~latency ->
+  Client_lib.read client ~lba:42 ~len:4096 (fun status ~latency ->
       Printf.printf "read  4KB @ lba 42: %s in %s\n"
         (Message.status_to_string status)
         (Time.to_string latency));
   ignore (Sim.run sim);
 
   (* Ordering: a barrier completes only after every earlier I/O has. *)
-  Client_lib.write client ~lba:100L ~len:4096 (fun _ ~latency:_ -> ());
-  Client_lib.write client ~lba:101L ~len:4096 (fun _ ~latency:_ -> ());
+  Client_lib.write client ~lba:100 ~len:4096 (fun _ ~latency:_ -> ());
+  Client_lib.write client ~lba:101 ~len:4096 (fun _ ~latency:_ -> ());
   Client_lib.barrier client (fun status ~latency ->
       Printf.printf "barrier (after 2 writes): %s in %s\n"
         (Message.status_to_string status)

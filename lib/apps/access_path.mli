@@ -25,4 +25,4 @@ val remote :
   unit
 
 (** Submit one block I/O; [k ~latency] on completion. *)
-val submit : t -> kind:Io_op.kind -> lba:int64 -> bytes:int -> (latency:Time.t -> unit) -> unit
+val submit : t -> kind:Io_op.kind -> lba:int -> bytes:int -> (latency:Time.t -> unit) -> unit

@@ -18,10 +18,10 @@ let total_ios phases =
 
 let kind_of prng ~read_ratio = if Prng.bool prng read_ratio then Io_op.Read else Io_op.Write
 
-let run sim path ?(seed = 0xA995_0001L) ?(lba_hi = 8_000_000L) phases k =
+let run sim path ?(seed = 0xA995_0001L) ?(lba_hi = 8_000_000) phases k =
   let prng = Prng.create seed in
   let started = Sim.now sim in
-  let random_lba () = Int64.of_int (Prng.int prng (Int64.to_int lba_hi)) in
+  let random_lba () = Prng.int prng lba_hi in
   let rec run_phase = function
     | [] -> k ~elapsed:(Time.diff (Sim.now sim) started)
     | Serial { ios; think; read_ratio; bytes } :: rest ->

@@ -33,7 +33,7 @@ val run :
   Sim.t ->
   Access_path.t ->
   ?seed:int64 ->
-  ?lba_hi:int64 ->
+  ?lba_hi:int ->
   phase list ->
   (elapsed:Time.t -> unit) ->
   unit

@@ -18,7 +18,7 @@ let create sim ?(profile = Device_profile.device_a) ?(n_threads = 1)
   {
     sim;
     dev = Nvme_model.create sim ~profile ~prng:(Prng.create seed);
-    cores = Array.init n_threads (fun _ -> Resource.create sim ~servers:1);
+    cores = Array.init n_threads (fun _ -> Resource.create sim);
     submit_cpu;
     complete_cpu;
     rr = 0;
@@ -31,10 +31,16 @@ let submit t ~kind ~bytes k =
   let core = t.cores.(t.rr) in
   t.rr <- (t.rr + 1) mod Array.length t.cores;
   let issued_at = Sim.now t.sim in
-  Resource.submit core ~service:t.submit_cpu (fun ~started:_ ~finished:_ ->
-      Nvme_model.submit t.dev ~kind ~bytes (fun ~latency:_ ->
-          Resource.submit core ~service:t.complete_cpu (fun ~started:_ ~finished:_ ->
+  Resource.submit core ~service:t.submit_cpu
+    (fun _ ->
+      Nvme_model.submit t.dev ~kind ~bytes
+        (fun _ ->
+          Resource.submit core ~service:t.complete_cpu
+            (fun _ ->
               t.completed <- t.completed + 1;
-              k ~latency:(Time.diff (Sim.now t.sim) issued_at))))
+              k ~latency:(Time.diff (Sim.now t.sim) issued_at))
+            0)
+        0)
+    0
 
 let completed t = t.completed

@@ -54,7 +54,7 @@ let submit_bio t ~kind ~lba ~bytes k =
     end
   in
   for i = 0 to blocks - 1 do
-    let block_lba = Int64.add lba (Int64.of_int i) in
+    let block_lba = lba + i in
     let len = min Io_op.lba_size (bytes - (i * Io_op.lba_size)) in
     let len = if len <= 0 then Io_op.lba_size else len in
     let ctx = pick t in

@@ -41,7 +41,7 @@ val create :
 (** [submit_bio t ~kind ~lba ~bytes k] issues one block request.  Requests
     larger than 4KB are split into 4KB blocks issued round-robin across
     contexts; [k ~latency] fires when all blocks complete. *)
-val submit_bio : t -> kind:Io_op.kind -> lba:int64 -> bytes:int -> (latency:Time.t -> unit) -> unit
+val submit_bio : t -> kind:Io_op.kind -> lba:int -> bytes:int -> (latency:Time.t -> unit) -> unit
 
 val n_contexts : t -> int
 val bios_completed : t -> int

@@ -4,7 +4,7 @@ open Reflex_proto
 open Reflex_telemetry
 
 (* What a pending operation needs to be re-issued after a timeout. *)
-type op = Op_read of { lba : int64; len : int } | Op_write of { lba : int64; len : int } | Op_barrier
+type op = Op_read of { lba : int; len : int } | Op_write of { lba : int; len : int } | Op_barrier
 
 type pending = {
   t0 : Time.t; (* first submission — latency spans every attempt *)
@@ -21,7 +21,20 @@ type t = {
   stack : Stack_model.t;
   client_host : Fabric.host;
   mutable next_req : int;
-  outstanding : (int, pending) Hashtbl.t;
+  outstanding : pending Int_tbl.t;
+  (* Messages waiting for the client core, in submission order: the core
+     is one FIFO server at a single priority, so its k-th completion is
+     the ring's head.  The job's argument says which way the message
+     goes ([to_server] or [to_app]); [core_done], made once in
+     [connect], sends or dispatches it.  The ring starts empty, doubles
+     in the cold [grow], and a vacated slot is overwritten with a fixed
+     filler (the connection's first message). *)
+  mutable q_msgs : Message.t array;
+  mutable q_head : int;
+  mutable q_len : int;
+  mutable q_filler : Message.t option;
+  mutable core_done : int -> unit;
+  mutable timeout_k : int -> unit; (* [on_timeout t], over a request id *)
   mutable register_k : (Message.status -> unit) option;
   mutable unregister_k : (unit -> unit) option;
   mutable handle : int option;
@@ -43,10 +56,13 @@ type t = {
   c_timeouts : Telemetry.counter; (* client/timeouts *)
 }
 
+let to_server = 0
+let to_app = 1
+
 let complete t req_id status =
-  match Hashtbl.find_opt t.outstanding req_id with
-  | Some p ->
-    Hashtbl.remove t.outstanding req_id;
+  match Int_tbl.find t.outstanding req_id with
+  | p ->
+    Int_tbl.remove t.outstanding req_id;
     (match p.timer with Some ev -> Sim.cancel t.sim ev | None -> ());
     (if t.tel_on && p.op <> Op_barrier then
        match t.handle with
@@ -55,7 +71,7 @@ let complete t req_id status =
            Telemetry.Stage.Client_complete
        | None -> ());
     p.pk status ~latency:(Time.diff (Sim.now t.sim) p.t0)
-  | None ->
+  | exception Not_found ->
     (* Unknown id: either a duplicate completion or a response that
        arrived after its deadline expired and the request was re-issued
        under a new id (at-least-once semantics) — drop it. *)
@@ -87,48 +103,39 @@ let dispatch t msg =
     (* Server-to-client stream never carries requests; ignore. *)
     ()
 
-let connect sim fabric ~server_host ~accept ~stack ?host ?(name = "client") ?retry
-    ?(retry_seed = 0x2E7259_5EEDL) ?(telemetry = Telemetry.disabled) () =
-  let client_host =
-    match host with Some h -> h | None -> Fabric.add_host fabric ~name ~stack
-  in
-  let conn = Tcp_conn.connect ~telemetry fabric ~client:client_host ~server:server_host in
-  let t =
-    {
-      sim;
-      conn;
-      core = Resource.create sim ~servers:1;
-      stack;
-      client_host;
-      next_req = 1;
-      outstanding = Hashtbl.create 256;
-      register_k = None;
-      unregister_k = None;
-      handle = None;
-      retry = Option.map Retry.validate retry;
-      retry_prng = Prng.create retry_seed;
-      retries = 0;
-      timeouts = 0;
-      tel = telemetry;
-      tel_on = Telemetry.enabled telemetry;
-      c_retries = Telemetry.counter telemetry "client/retries";
-      c_timeouts = Telemetry.counter telemetry "client/timeouts";
-    }
-  in
-  accept conn;
-  (* Receive path: the client thread spends per-message CPU before the
-     application sees the completion. *)
-  Tcp_conn.set_client_handler conn (fun msg ~size:_ ->
-      Resource.submit t.core ~service:t.stack.Stack_model.per_msg_cpu
-        (fun ~started:_ ~finished:_ -> dispatch t msg));
-  t
+(* Cold path: first message, or the ring is full. *)
+let grow t msg =
+  let filler = match t.q_filler with Some f -> f | None -> msg in
+  t.q_filler <- Some filler;
+  let cap = Array.length t.q_msgs in
+  let ncap = if cap = 0 then 8 else cap * 2 in
+  let msgs = Array.make ncap filler in
+  for i = 0 to t.q_len - 1 do
+    msgs.(i) <- t.q_msgs.((t.q_head + i) land (cap - 1))
+  done;
+  t.q_msgs <- msgs;
+  t.q_head <- 0
+
+(* Charge the client core one message's CPU, then [core_done dir]. *)
+let via_core t dir msg =
+  if t.q_len = Array.length t.q_msgs then grow t msg;
+  t.q_msgs.((t.q_head + t.q_len) land (Array.length t.q_msgs - 1)) <- msg;
+  t.q_len <- t.q_len + 1;
+  Resource.submit t.core ~service:t.stack.Stack_model.per_msg_cpu t.core_done dir
+
+let core_done t dir =
+  let i = t.q_head in
+  let msg = t.q_msgs.(i) in
+  (match t.q_filler with Some f -> t.q_msgs.(i) <- f | None -> ());
+  t.q_head <- (i + 1) land (Array.length t.q_msgs - 1);
+  t.q_len <- t.q_len - 1;
+  if dir = to_server then Tcp_conn.send_to_server t.conn ~size:(Codec.encoded_size msg) msg
+  else dispatch t msg
 
 let host t = t.client_host
 
 (* Transmit path: CPU first, then the wire. *)
-let send t msg =
-  Resource.submit t.core ~service:t.stack.Stack_model.per_msg_cpu (fun ~started:_ ~finished:_ ->
-      Tcp_conn.send_to_server t.conn ~size:(Codec.encoded_size msg) msg)
+let send t msg = via_core t to_server msg
 
 let register t ~tenant ?(slo = Message.best_effort_slo) k =
   if t.register_k <> None then failwith "Client_lib.register: registration already in flight";
@@ -156,9 +163,9 @@ let rec issue ?prev t ~handle ~t0 ~attempt ~op pk =
   let timer =
     match t.retry with
     | None -> None
-    | Some policy -> Some (Sim.after t.sim policy.Retry.timeout (fun () -> on_timeout t req_id))
+    | Some policy -> Some (Sim.after1 t.sim policy.Retry.timeout t.timeout_k req_id)
   in
-  Hashtbl.replace t.outstanding req_id { t0; pk; op; attempt; timer };
+  Int_tbl.replace t.outstanding req_id { t0; pk; op; attempt; timer };
   if t.tel_on && op <> Op_barrier then begin
     Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:handle ~req_id
       Telemetry.Stage.Client_submit;
@@ -171,10 +178,10 @@ let rec issue ?prev t ~handle ~t0 ~attempt ~op pk =
   send t (msg_of_op ~handle ~req_id op)
 
 and on_timeout t req_id =
-  match Hashtbl.find_opt t.outstanding req_id with
+  match Int_tbl.find_opt t.outstanding req_id with
   | None -> () (* response won the race against the deadline *)
   | Some p -> (
-    Hashtbl.remove t.outstanding req_id;
+    Int_tbl.remove t.outstanding req_id;
     t.timeouts <- t.timeouts + 1;
     if t.tel_on then Telemetry.incr t.c_timeouts;
     let policy = Option.get t.retry in
@@ -191,6 +198,48 @@ and on_timeout t req_id =
                issue ~prev:req_id t ~handle:h ~t0:p.t0 ~attempt:(p.attempt + 1) ~op:p.op p.pk
              | None -> give_up ()))
     end)
+
+let connect sim fabric ~server_host ~accept ~stack ?host ?(name = "client") ?retry
+    ?(retry_seed = 0x2E7259_5EEDL) ?(telemetry = Telemetry.disabled) () =
+  let client_host =
+    match host with Some h -> h | None -> Fabric.add_host fabric ~name ~stack
+  in
+  let conn = Tcp_conn.connect ~telemetry fabric ~client:client_host ~server:server_host in
+  let t =
+    {
+      sim;
+      conn;
+      core = Resource.create sim;
+      stack;
+      client_host;
+      next_req = 1;
+      outstanding = Int_tbl.create 256;
+      q_msgs = [||];
+      q_head = 0;
+      q_len = 0;
+      q_filler = None;
+      core_done = ignore;
+      timeout_k = ignore;
+      register_k = None;
+      unregister_k = None;
+      handle = None;
+      retry = Option.map Retry.validate retry;
+      retry_prng = Prng.create retry_seed;
+      retries = 0;
+      timeouts = 0;
+      tel = telemetry;
+      tel_on = Telemetry.enabled telemetry;
+      c_retries = Telemetry.counter telemetry "client/retries";
+      c_timeouts = Telemetry.counter telemetry "client/timeouts";
+    }
+  in
+  t.core_done <- core_done t;
+  t.timeout_k <- on_timeout t;
+  accept conn;
+  (* Receive path: the client thread spends per-message CPU before the
+     application sees the completion. *)
+  Tcp_conn.set_client_handler conn (fun msg ~size:_ -> via_core t to_app msg);
+  t
 
 let io t ~kind ~lba ~len k =
   match t.handle with
@@ -217,6 +266,6 @@ let unregister t k =
     send t (Message.Unregister { handle })
 
 let next_req_id t = t.next_req
-let inflight t = Hashtbl.length t.outstanding
+let inflight t = Int_tbl.length t.outstanding
 let retries t = t.retries
 let timeouts t = t.timeouts

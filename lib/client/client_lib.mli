@@ -58,9 +58,9 @@ val handle : t -> int option
 
 (** [read t ~lba ~len k] — [k status ~latency] fires on completion.
     Raises [Failure] if the connection has not registered. *)
-val read : t -> lba:int64 -> len:int -> (Message.status -> latency:Time.t -> unit) -> unit
+val read : t -> lba:int -> len:int -> (Message.status -> latency:Time.t -> unit) -> unit
 
-val write : t -> lba:int64 -> len:int -> (Message.status -> latency:Time.t -> unit) -> unit
+val write : t -> lba:int -> len:int -> (Message.status -> latency:Time.t -> unit) -> unit
 
 (** [barrier t k] — completes only after every earlier operation on this
     tenant has; later operations wait for it (ordering extension, paper

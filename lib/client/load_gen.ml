@@ -74,7 +74,7 @@ let next_kind t ~prng ~read_ratio =
 
 let issue t ~prng ~read_ratio ~bytes ~lba_hi k =
   let kind = next_kind t ~prng ~read_ratio in
-  let lba = Int64.of_int (Prng.int prng (Int64.to_int lba_hi)) in
+  let lba = Prng.int prng lba_hi in
   let issued_at = Sim.now t.sim in
   t.issued <- t.issued + 1;
   let complete status ~latency =
@@ -86,7 +86,7 @@ let issue t ~prng ~read_ratio ~bytes ~lba_hi k =
   | `Write -> Client_lib.write t.client ~lba ~len:bytes complete
 
 let open_loop sim ~client ?(pacing = `Poisson) ?mix ~rate ~read_ratio ~bytes ~until
-    ?(lba_hi = 1_000_000L) ?(seed = 0x10AD_0001L) () =
+    ?(lba_hi = 1_000_000) ?(seed = 0x10AD_0001L) () =
   if rate <= 0.0 then invalid_arg "Load_gen.open_loop: rate";
   let t = make ?mix sim client in
   let prng = Prng.create seed in
@@ -115,7 +115,7 @@ let open_loop sim ~client ?(pacing = `Poisson) ?mix ~rate ~read_ratio ~bytes ~un
   t
 
 let closed_loop sim ~client ~depth ?(think = Time.zero) ?mix ~read_ratio ~bytes ~until
-    ?(lba_hi = 1_000_000L) ?(seed = 0x10AD_0002L) () =
+    ?(lba_hi = 1_000_000) ?(seed = 0x10AD_0002L) () =
   if depth < 1 then invalid_arg "Load_gen.closed_loop: depth";
   let t = make ?mix sim client in
   let prng = Prng.create seed in

@@ -24,7 +24,7 @@ val open_loop :
   read_ratio:float ->
   bytes:int ->
   until:Time.t ->
-  ?lba_hi:int64 ->
+  ?lba_hi:int ->
   ?seed:int64 ->
   unit ->
   t
@@ -42,7 +42,7 @@ val closed_loop :
   read_ratio:float ->
   bytes:int ->
   until:Time.t ->
-  ?lba_hi:int64 ->
+  ?lba_hi:int ->
   ?seed:int64 ->
   unit ->
   t

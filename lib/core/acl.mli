@@ -4,7 +4,7 @@
     whether a tenant has read/write permission over an NVMe namespace
     (a range of logical blocks). *)
 
-type permission = { lba_lo : int64; lba_hi : int64; can_read : bool; can_write : bool }
+type permission = { lba_lo : int; lba_hi : int; can_read : bool; can_write : bool }
 
 type t
 
@@ -13,16 +13,19 @@ val create : unit -> t
 
 (** [create_permissive ~lba_hi] grants every tenant read/write over
     [0, lba_hi). *)
-val create_permissive : ?lba_hi:int64 -> unit -> t
+val create_permissive : ?lba_hi:int -> unit -> t
 
 val grant : t -> tenant:int -> permission -> unit
 val revoke : t -> tenant:int -> unit
 
 type verdict = Allowed | Denied_permission | Denied_range
 
-(** Check one I/O against the policy.  [lba_count] is in 4KB blocks. *)
+(** Check one I/O against the policy.  [lba_count] is in 4KB blocks; the
+    I/O is in range when all of [[lba, lba + lba_count)] lies in
+    [[lba_lo, lba_hi)], decided without overflow for any [lba] and
+    [lba_count] (a negative [lba] is out of range). *)
 val check :
-  t -> tenant:int -> kind:Reflex_flash.Io_op.kind -> lba:int64 -> lba_count:int -> verdict
+  t -> tenant:int -> kind:Reflex_flash.Io_op.kind -> lba:int -> lba_count:int -> verdict
 
 (** May this tenant id open a connection at all? *)
 val connection_allowed : t -> tenant:int -> bool

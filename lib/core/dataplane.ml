@@ -23,9 +23,18 @@ type 'a t = {
   respond : 'a done_req -> unit;
   reroute : tenant_id:int -> kind:Io_op.kind -> bytes:int -> 'a -> unit;
   rx_ring : 'a pending Queue.t;
-  outstanding : (int, 'a pending) Hashtbl.t;
+  (* In-flight NVMe commands by cookie: a cookie is a slot of this
+     array, taken off [free_cookies] at submission and returned at reap,
+     so the array grows (in the cold [grow_outstanding]) only to the
+     largest number of commands submitted and not yet reaped — the SQ
+     depth plus the completions waiting in the CQ.  A reaped slot is
+     overwritten with a fixed filler (the thread's first request). *)
+  mutable outstanding : 'a pending array;
+  mutable free_cookies : int array;
+  mutable free_len : int;
+  mutable n_outstanding : int;
+  mutable filler : 'a pending option;
   deferred : 'a pending Scheduler.submission Queue.t; (* SQ-full retries *)
-  mutable next_cookie : int;
   mutable conns : int;
   mutable running : bool; (* a cycle is executing or queued on the core *)
   mutable idle_timer : Sim.event_id option;
@@ -52,6 +61,15 @@ type 'a t = {
      disarmed cost is one test per site, like [tel_on]/[fl_on]. *)
   mutable hops : Reflex_obs.Hopsink.t;
   mutable hops_on : bool;
+  (* The cycle's steps as continuations, made once in [create]; each
+     takes the batch size it was charged for. *)
+  mutable step1 : int -> unit; (* parse the batch, schedule, submit *)
+  mutable step1_done : int -> unit; (* submission CPU charged *)
+  mutable step2 : int -> unit; (* reap the batch, respond *)
+  mutable submit_k : 'a pending Scheduler.submission -> unit; (* scheduler's submit *)
+  mutable reap_k : cookie:int -> kind:Io_op.kind -> latency:Time.t -> unit;
+  mutable idle_k : unit -> unit; (* idle re-arm timer *)
+  mutable submissions : int; (* NVMe submissions this cycle *)
 }
 
 let thread_id t = t.thread_id
@@ -66,7 +84,7 @@ let set_token_rate t ~id rate =
   | Some tenant -> Tenant.set_token_rate tenant rate
   | None -> raise Not_found
 
-let has_tenant t ~id = Scheduler.find_tenant t.scheduler id <> None
+let has_tenant t ~id = Scheduler.has_tenant t.scheduler id
 let tenant_count t = Scheduler.tenant_count t.scheduler
 
 let charge t base = Time.scale base (Costs.conn_factor t.costs ~conns:t.conns)
@@ -93,13 +111,12 @@ and run_cycle t =
   let costs = t.costs in
   if t.fl_on then
     Reflex_obs.Flight.record t.fl ~now:(Sim.now t.sim) ~kind:Reflex_obs.Flight.Kind.Queue_depth
-      ~a:t.thread_id
-      ~b:(Hashtbl.length t.outstanding)
+      ~a:t.thread_id ~b:t.n_outstanding
       ~v:(float_of_int (Queue.length t.rx_ring));
   (* Size the batch up front (the ring only grows until we drain it, and
      this thread is the sole consumer), charge the CPU, then pop the same
-     [n] messages straight off the ring inside the completion — no
-     intermediate cons-and-reverse batch list on the per-cycle path. *)
+     [n] messages straight off the ring in [step1] — no intermediate
+     batch list on the per-cycle path. *)
   let n = min costs.batch_max (Queue.length t.rx_ring) in
   let per_msg = Time.add costs.rx_per_msg costs.parse_per_msg in
   let sched_cpu =
@@ -107,98 +124,56 @@ and run_cycle t =
       (Time.scale costs.sched_per_tenant (float_of_int (Scheduler.tenant_count t.scheduler)))
   in
   let step1_cpu = Time.add (Time.scale per_msg (float_of_int n)) sched_cpu in
-  Resource.submit t.core ~service:(charge t step1_cpu) (fun ~started:_ ~finished:_ ->
-      (* Requests enter their tenant's queue with the token cost fixed by
-         the device's current read/write mix.  A tenant rebalanced away
-         between arrival and parsing gets its requests rerouted, never
-         dropped (paper §3.1). *)
-      for _ = 1 to n do
-        let p = Queue.pop t.rx_ring in
-        match Scheduler.find_tenant t.scheduler p.p_tenant with
-        | Some _ ->
-          let cost =
-            Cost_model.request_cost t.cost_model ~kind:p.p_kind ~bytes:p.p_bytes
-              ~read_only:(Nvme_model.read_only_mode t.device)
-          in
-          Scheduler.enqueue t.scheduler ~tenant_id:p.p_tenant ~cost p;
-          if t.tel_on then
-            Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:p.p_tenant
-              ~req_id:(t.trace_id p.p_payload) Telemetry.Stage.Sched_enqueue
-        | None -> t.reroute ~tenant_id:p.p_tenant ~kind:p.p_kind ~bytes:p.p_bytes p.p_payload
-      done;
-      let submissions = ref 0 in
-      let try_submit (s : 'a pending Scheduler.submission) =
-        let pend = s.Scheduler.payload in
-        let cookie = t.next_cookie in
-        t.next_cookie <- t.next_cookie + 1;
-        match Queue_pair.submit t.qp ~kind:pend.p_kind ~bytes:pend.p_bytes ~cookie with
-        | `Ok ->
-          Hashtbl.replace t.outstanding cookie pend;
-          t.spent.tokens_spent <- t.spent.tokens_spent +. s.Scheduler.cost;
-          incr submissions;
-          if t.tel_on then
-            Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
-              ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Nvme_submit;
-          if t.hops_on then
-            Reflex_obs.Hopsink.stamp t.hops ~tenant:pend.p_tenant
-              ~req:(t.trace_id pend.p_payload) ~hop:2 ~now:(Sim.now t.sim);
-          true
-        | `Full -> false
+  Resource.submit t.core ~service:(charge t step1_cpu) t.step1 n
+
+and run_step1 t n =
+  (* Requests enter their tenant's queue with the token cost fixed by
+     the device's current read/write mix.  A tenant rebalanced away
+     between arrival and parsing gets its requests rerouted, never
+     dropped (paper §3.1). *)
+  for _ = 1 to n do
+    let p = Queue.pop t.rx_ring in
+    if Scheduler.has_tenant t.scheduler p.p_tenant then begin
+      let cost =
+        Cost_model.request_cost t.cost_model ~kind:p.p_kind ~bytes:p.p_bytes
+          ~read_only:(Nvme_model.read_only_mode t.device)
       in
-      let submit_to_qp s =
-        (* The scheduler released this request: its tokens are granted
-           and spent, whether or not the SQ has room right now. *)
-        if t.tel_on then begin
-          let pend = s.Scheduler.payload in
-          Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
-            ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Granted
-        end;
-        if not (try_submit s) then Queue.add s t.deferred
-      in
-      (* Submissions deferred on a full SQ go first — their tokens are
-         already spent.  Stop at the first refusal: the SQ is full again. *)
-      let rec retry_deferred () =
-        match Queue.peek_opt t.deferred with
-        | Some s when try_submit s ->
-          ignore (Queue.pop t.deferred);
-          retry_deferred ()
-        | Some _ | None -> ()
-      in
-      retry_deferred ();
-      t.rounds <- t.rounds + 1;
-      ignore (Scheduler.schedule t.scheduler ~now:(Sim.now t.sim) ~submit:submit_to_qp);
-      let submit_cpu = Time.scale costs.submit_per_req (float_of_int !submissions) in
-      Resource.submit t.core ~service:(charge t submit_cpu) (fun ~started:_ ~finished:_ ->
-          run_step2 t))
+      Scheduler.enqueue t.scheduler ~tenant_id:p.p_tenant ~cost p;
+      if t.tel_on then
+        Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:p.p_tenant
+          ~req_id:(t.trace_id p.p_payload) Telemetry.Stage.Sched_enqueue
+    end
+    else t.reroute ~tenant_id:p.p_tenant ~kind:p.p_kind ~bytes:p.p_bytes p.p_payload
+  done;
+  t.submissions <- 0;
+  (* Submissions deferred on a full SQ go first — their tokens are
+     already spent.  Stop at the first refusal: the SQ is full again. *)
+  let retrying = ref true in
+  while !retrying && not (Queue.is_empty t.deferred) do
+    if try_submit t (Queue.peek t.deferred) then ignore (Queue.pop t.deferred)
+    else retrying := false
+  done;
+  t.rounds <- t.rounds + 1;
+  ignore (Scheduler.schedule t.scheduler ~now:(Sim.now t.sim) ~submit:t.submit_k);
+  let submit_cpu = Time.scale t.costs.submit_per_req (float_of_int t.submissions) in
+  Resource.submit t.core ~service:(charge t submit_cpu) t.step1_done 0
 
 (* Step two (Figure 2, steps 5-8): poll the completion queue, deliver
    completion events, transmit responses. *)
 and run_step2 t =
   let costs = t.costs in
   (* Size the batch now (CPU is charged for what this cycle will reap);
-     the reap itself happens in the callback via [Queue_pair.drain] —
+     the reap itself happens in [reap_batch] via [Queue_pair.drain] —
      the CQ ring is FIFO, so the first [n] entries then are exactly the
      ones pending here, and no completion list is ever built. *)
   let pending = Queue_pair.completions_pending t.qp in
   let n = if pending < costs.batch_max then pending else costs.batch_max in
   let step2_cpu = Time.scale costs.complete_per_req (float_of_int n) in
-  Resource.submit t.core ~service:(charge t step2_cpu) (fun ~started:_ ~finished:_ ->
-      let _ : int =
-        Queue_pair.drain t.qp ~max:n ~f:(fun ~cookie ~kind ~latency ->
-            match Hashtbl.find_opt t.outstanding cookie with
-            | Some pend ->
-              Hashtbl.remove t.outstanding cookie;
-              t.completed <- t.completed + 1;
-              if t.tel_on then
-                Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
-                  ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Nvme_complete;
-              if t.hops_on then
-                Reflex_obs.Hopsink.stamp t.hops ~tenant:pend.p_tenant
-                  ~req:(t.trace_id pend.p_payload) ~hop:3 ~now:(Sim.now t.sim);
-              t.respond { payload = pend.p_payload; kind; nvme_latency = latency }
-            | None -> ())
-      in
-      finish_cycle t)
+  Resource.submit t.core ~service:(charge t step2_cpu) t.step2 n
+
+and reap_batch t n =
+  let _ : int = Queue_pair.drain t.qp ~max:n ~f:t.reap_k in
+  finish_cycle t
 
 and finish_cycle t =
   t.running <- false;
@@ -211,12 +186,71 @@ and finish_cycle t =
        tokens have accrued. *)
     match t.idle_timer with
     | Some _ -> ()
-    | None ->
-      t.idle_timer <-
-        Some
-          (Sim.after t.sim t.costs.idle_sched_period (fun () ->
-               t.idle_timer <- None;
-               kick t))
+    | None -> t.idle_timer <- Some (Sim.after t.sim t.costs.idle_sched_period t.idle_k)
+
+(* Cold path: double the cookie slots; [filler] fills the fresh ones. *)
+and grow_outstanding t pend =
+  let filler = match t.filler with Some f -> f | None -> pend in
+  t.filler <- Some filler;
+  let cap = Array.length t.outstanding in
+  let ncap = if cap = 0 then 64 else cap * 2 in
+  let o = Array.make ncap filler in
+  Array.blit t.outstanding 0 o 0 cap;
+  t.outstanding <- o;
+  let f = Array.make ncap 0 in
+  Array.blit t.free_cookies 0 f 0 t.free_len;
+  t.free_cookies <- f;
+  for slot = ncap - 1 downto cap do
+    t.free_cookies.(t.free_len) <- slot;
+    t.free_len <- t.free_len + 1
+  done
+
+(* Hand one released request to the NVMe SQ; false when the SQ is full. *)
+and try_submit t (s : 'a pending Scheduler.submission) =
+  let pend = s.Scheduler.payload in
+  if t.free_len = 0 then grow_outstanding t pend;
+  let cookie = t.free_cookies.(t.free_len - 1) in
+  match Queue_pair.submit t.qp ~kind:pend.p_kind ~bytes:pend.p_bytes ~cookie with
+  | `Ok ->
+    t.free_len <- t.free_len - 1;
+    t.outstanding.(cookie) <- pend;
+    t.n_outstanding <- t.n_outstanding + 1;
+    t.spent.tokens_spent <- t.spent.tokens_spent +. s.Scheduler.cost;
+    t.submissions <- t.submissions + 1;
+    if t.tel_on then
+      Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
+        ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Nvme_submit;
+    if t.hops_on then
+      Reflex_obs.Hopsink.stamp t.hops ~tenant:pend.p_tenant ~req:(t.trace_id pend.p_payload)
+        ~hop:2 ~now:(Sim.now t.sim);
+    true
+  | `Full -> false
+
+(* The scheduler released this request: its tokens are granted and
+   spent, whether or not the SQ has room right now. *)
+and submit_to_qp t s =
+  if t.tel_on then begin
+    let pend = s.Scheduler.payload in
+    Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
+      ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Granted
+  end;
+  if not (try_submit t s) then Queue.add s t.deferred
+
+(* One reaped completion: free its cookie and respond. *)
+and reap t ~cookie ~kind ~latency =
+  let pend = t.outstanding.(cookie) in
+  (match t.filler with Some f -> t.outstanding.(cookie) <- f | None -> ());
+  t.free_cookies.(t.free_len) <- cookie;
+  t.free_len <- t.free_len + 1;
+  t.n_outstanding <- t.n_outstanding - 1;
+  t.completed <- t.completed + 1;
+  if t.tel_on then
+    Telemetry.span t.tel ~now:(Sim.now t.sim) ~tenant:pend.p_tenant
+      ~req_id:(t.trace_id pend.p_payload) Telemetry.Stage.Nvme_complete;
+  if t.hops_on then
+    Reflex_obs.Hopsink.stamp t.hops ~tenant:pend.p_tenant ~req:(t.trace_id pend.p_payload) ~hop:3
+      ~now:(Sim.now t.sim);
+  t.respond { payload = pend.p_payload; kind; nvme_latency = latency }
 
 let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.default)
     ?neg_limit ?donate_fraction ?notify_control_plane
@@ -230,7 +264,7 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
     {
       sim;
       thread_id;
-      core = Resource.create sim ~servers:1;
+      core = Resource.create sim;
       qp;
       device;
       cost_model;
@@ -239,9 +273,12 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
       respond;
       reroute;
       rx_ring = Queue.create ();
-      outstanding = Hashtbl.create 1024;
+      outstanding = [||];
+      free_cookies = [||];
+      free_len = 0;
+      n_outstanding = 0;
+      filler = None;
       deferred = Queue.create ();
-      next_cookie = 0;
       conns = 0;
       running = false;
       idle_timer = None;
@@ -256,14 +293,30 @@ let create sim ~thread_id ~qp ~device ~cost_model ~global ?(costs = Costs.defaul
       trace_id;
       hops = Reflex_obs.Hopsink.null;
       hops_on = false;
+      step1 = ignore;
+      step1_done = ignore;
+      step2 = ignore;
+      submit_k = ignore;
+      reap_k = (fun ~cookie:_ ~kind:_ ~latency:_ -> ());
+      idle_k = ignore;
+      submissions = 0;
     }
   in
+  t.step1 <- run_step1 t;
+  t.step1_done <- (fun _ -> run_step2 t);
+  t.step2 <- reap_batch t;
+  t.submit_k <- submit_to_qp t;
+  t.reap_k <- reap t;
+  t.idle_k <-
+    (fun () ->
+      t.idle_timer <- None;
+      kick t);
   if t.tel_on then begin
     let p = Printf.sprintf "core/thread%d/" thread_id in
     Telemetry.register_gauge telemetry (p ^ "rx_ring") (fun () ->
         float_of_int (Queue.length t.rx_ring));
     Telemetry.register_gauge telemetry (p ^ "outstanding") (fun () ->
-        float_of_int (Hashtbl.length t.outstanding));
+        float_of_int t.n_outstanding);
     Telemetry.register_gauge telemetry (p ^ "deferred") (fun () ->
         float_of_int (Queue.length t.deferred));
     Telemetry.register_gauge telemetry (p ^ "rounds") (fun () -> float_of_int t.rounds);
@@ -313,8 +366,7 @@ let attach_tenant t ~id ~slo ~token_rate ~backlog =
    as it would behind a hogged physical core. *)
 let inject_stall t ~duration =
   if Time.(duration <= Time.zero) then invalid_arg "Dataplane.inject_stall: duration";
-  Resource.submit t.core ~priority:Resource.High ~service:duration
-    (fun ~started:_ ~finished:_ -> ())
+  Resource.submit t.core ~priority:Resource.High ~service:duration ignore 0
 
 let set_hopsink t sink =
   t.hops <- sink;
@@ -343,4 +395,4 @@ let scheduling_rounds t = t.rounds
    entries, software-queued tenant requests, and in-flight NVMe
    commands.  Probe-path metric for the rack-level load balancers. *)
 let queue_depth t =
-  Queue.length t.rx_ring + Scheduler.queue_depth t.scheduler + Hashtbl.length t.outstanding
+  Queue.length t.rx_ring + Scheduler.queue_depth t.scheduler + t.n_outstanding

@@ -34,12 +34,12 @@ type t = {
   threads : inflight Dataplane.t array;
   global : Global_bucket.t;
   mutable active : int;
-  tenant_thread : (int, int) Hashtbl.t; (* tenant id -> thread index *)
-  be_tenants : (int, unit) Hashtbl.t;
-  tenant_conns : (int, int) Hashtbl.t; (* tenant id -> connection count *)
-  tenant_done : (int, int ref) Hashtbl.t;
-  gates : (int, gate) Hashtbl.t;
-  deficit_notes : (int, int ref) Hashtbl.t; (* NEG_LIMIT hits per tenant *)
+  tenant_thread : int Int_tbl.t; (* tenant id -> thread index *)
+  be_tenants : unit Int_tbl.t;
+  tenant_conns : int Int_tbl.t; (* tenant id -> connection count *)
+  tenant_done : int ref Int_tbl.t;
+  gates : gate Int_tbl.t;
+  deficit_notes : int ref Int_tbl.t; (* NEG_LIMIT hits per tenant *)
   mutable fleet_ro : bool;
   mutable completed : int;
   tel : Telemetry.t;
@@ -47,11 +47,11 @@ type t = {
 }
 
 let gate_of t tenant =
-  match Hashtbl.find_opt t.gates tenant with
-  | Some g -> g
-  | None ->
+  match Int_tbl.find t.gates tenant with
+  | g -> g
+  | exception Not_found ->
     let g = { outstanding = 0; armed = None; buffered = Queue.create () } in
-    Hashtbl.replace t.gates tenant g;
+    Int_tbl.replace t.gates tenant g;
     g
 
 (* An armed barrier fires once the tenant's in-server I/O count drains to
@@ -77,9 +77,9 @@ let release_gate g =
 let respond t done_req =
   let { conn; req_id; bytes; tenant; t_arrive } = done_req.Dataplane.payload in
   t.completed <- t.completed + 1;
-  (match Hashtbl.find_opt t.tenant_done tenant with
-  | Some r -> incr r
-  | None -> Hashtbl.replace t.tenant_done tenant (ref 1));
+  (match Int_tbl.find t.tenant_done tenant with
+  | r -> incr r
+  | exception Not_found -> Int_tbl.replace t.tenant_done tenant (ref 1));
   let msg =
     match done_req.Dataplane.kind with
     | Io_op.Read -> Message.Read_resp { req_id; status = Message.Ok; len = bytes }
@@ -99,15 +99,15 @@ let respond t done_req =
    deficit limit — consistent bursting above the reserved rate means the
    SLO is wrong and needs renegotiation (paper §3.2.2/§4.3). *)
 let note_deficit t ~tenant =
-  match Hashtbl.find_opt t.deficit_notes tenant with
+  match Int_tbl.find_opt t.deficit_notes tenant with
   | Some r -> incr r
-  | None -> Hashtbl.replace t.deficit_notes tenant (ref 1)
+  | None -> Int_tbl.replace t.deficit_notes tenant (ref 1)
 
 (* A request parsed on a thread its tenant just left follows the tenant
    to its new thread; if the tenant is gone entirely, the client gets an
    error instead of silence. *)
 let reroute t ~tenant_id ~kind ~bytes payload =
-  match Hashtbl.find_opt t.tenant_thread tenant_id with
+  match Int_tbl.find_opt t.tenant_thread tenant_id with
   | Some thread -> Dataplane.receive t.threads.(thread) ~tenant_id ~kind ~bytes payload
   | None ->
     let msg = Message.Error_resp { req_id = payload.req_id; status = Message.Bad_request } in
@@ -148,12 +148,12 @@ let create sim ~fabric ?(profile = Device_profile.device_a) ?(n_threads = 1) ?ma
                 ());
         global;
         active = n_threads;
-        tenant_thread = Hashtbl.create 64;
-        be_tenants = Hashtbl.create 64;
-        tenant_conns = Hashtbl.create 64;
-        tenant_done = Hashtbl.create 64;
-        gates = Hashtbl.create 16;
-        deficit_notes = Hashtbl.create 16;
+        tenant_thread = Int_tbl.create 64;
+        be_tenants = Int_tbl.create 64;
+        tenant_conns = Int_tbl.create 64;
+        tenant_done = Int_tbl.create 64;
+        gates = Int_tbl.create 16;
+        deficit_notes = Int_tbl.create 16;
         fleet_ro = true;
         completed = 0;
         tel = telemetry;
@@ -192,9 +192,9 @@ let effective_rate t rate = if t.qos then rate else 1e15
 let push_be_rates t =
   let share = effective_rate t (Control_plane.be_share t.control_plane) in
   (* reflex-lint: allow det/hashtbl-order — per-tenant rate pushes are independent writes to disjoint scheduler entries; no output depends on visit order *)
-  Hashtbl.iter
+  Int_tbl.iter
     (fun id () ->
-      match Hashtbl.find_opt t.tenant_thread id with
+      match Int_tbl.find_opt t.tenant_thread id with
       | Some thread -> Dataplane.set_token_rate t.threads.(thread) ~id share
       | None -> ())
     t.be_tenants
@@ -204,9 +204,9 @@ let push_be_rates t =
 let push_rates t =
   push_be_rates t;
   (* reflex-lint: allow det/hashtbl-order — per-tenant rate pushes are independent writes to disjoint scheduler entries; no output depends on visit order *)
-  Hashtbl.iter
+  Int_tbl.iter
     (fun id thread ->
-      if not (Hashtbl.mem t.be_tenants id) then
+      if not (Int_tbl.mem t.be_tenants id) then
         match Control_plane.token_rate_for t.control_plane ~id with
         | Some rate -> Dataplane.set_token_rate t.threads.(thread) ~id (effective_rate t rate)
         | None -> ())
@@ -226,9 +226,9 @@ let refresh_rates t =
 let refresh_conn_counts t =
   let counts = Array.make (Array.length t.threads) 0 in
   (* reflex-lint: allow det/hashtbl-order — commutative += accumulation into per-thread counters; any visit order yields the same counts *)
-  Hashtbl.iter
+  Int_tbl.iter
     (fun tenant conns ->
-      match Hashtbl.find_opt t.tenant_thread tenant with
+      match Int_tbl.find_opt t.tenant_thread tenant with
       | Some thread -> counts.(thread) <- counts.(thread) + conns
       | None -> ())
     t.tenant_conns;
@@ -246,8 +246,8 @@ let handle_register t ~tenant ~(slo : Message.slo) ~registered_handle =
   else if Control_plane.is_registered t.control_plane ~id:tenant then begin
     (* Another connection joins an existing tenant. *)
     registered_handle := Some tenant;
-    Hashtbl.replace t.tenant_conns tenant
-      (1 + Option.value (Hashtbl.find_opt t.tenant_conns tenant) ~default:0);
+    Int_tbl.replace t.tenant_conns tenant
+      (1 + Option.value (Int_tbl.find_opt t.tenant_conns tenant) ~default:0);
     refresh_conn_counts t;
     Some (Message.Registered { handle = tenant; status = Message.Ok })
   end
@@ -277,10 +277,10 @@ let handle_register t ~tenant ~(slo : Message.slo) ~registered_handle =
           (Printf.sprintf "qos/t%d/slo_headroom_us" tenant)
           (fun () -> target -. Reflex_stats.Hdr_histogram.percentile_us hist 95.0)
       end;
-      Hashtbl.replace t.tenant_thread tenant thread;
-      if not (Slo.is_latency_critical slo) then Hashtbl.replace t.be_tenants tenant ();
-      Hashtbl.replace t.tenant_conns tenant
-        (1 + Option.value (Hashtbl.find_opt t.tenant_conns tenant) ~default:0);
+      Int_tbl.replace t.tenant_thread tenant thread;
+      if not (Slo.is_latency_critical slo) then Int_tbl.replace t.be_tenants tenant ();
+      Int_tbl.replace t.tenant_conns tenant
+        (1 + Option.value (Int_tbl.find_opt t.tenant_conns tenant) ~default:0);
       (* A new LC reservation (or a new BE peer) moves every BE share; LC
          rates change only if the fleet's read-only pricing flipped. *)
       refresh_rates t;
@@ -290,13 +290,13 @@ let handle_register t ~tenant ~(slo : Message.slo) ~registered_handle =
   end
 
 let handle_unregister t ~handle =
-  (match Hashtbl.find_opt t.tenant_thread handle with
+  (match Int_tbl.find_opt t.tenant_thread handle with
   | Some thread -> Dataplane.remove_tenant t.threads.(thread) ~id:handle
   | None -> ());
-  Hashtbl.remove t.tenant_thread handle;
-  Hashtbl.remove t.tenant_conns handle;
-  Hashtbl.remove t.be_tenants handle;
-  Hashtbl.remove t.gates handle;
+  Int_tbl.remove t.tenant_thread handle;
+  Int_tbl.remove t.tenant_conns handle;
+  Int_tbl.remove t.be_tenants handle;
+  Int_tbl.remove t.gates handle;
   if t.tel_on then Telemetry.unregister t.tel (Printf.sprintf "qos/t%d/slo_headroom_us" handle);
   Control_plane.forget t.control_plane ~id:handle;
   refresh_rates t;
@@ -325,9 +325,9 @@ let rec handle_io t conn ~handle ~kind ~req_id ~lba ~len ~registered_handle =
       | Acl.Denied_permission -> Some (Message.Error_resp { req_id; status = Message.Denied })
       | Acl.Denied_range -> Some (Message.Error_resp { req_id; status = Message.Out_of_range })
       | Acl.Allowed -> (
-        match Hashtbl.find_opt t.tenant_thread handle with
-        | None -> Some (Message.Error_resp { req_id; status = Message.Bad_request })
-        | Some thread ->
+        match Int_tbl.find t.tenant_thread handle with
+        | exception Not_found -> Some (Message.Error_resp { req_id; status = Message.Bad_request })
+        | thread ->
           g.outstanding <- g.outstanding + 1;
           Dataplane.receive t.threads.(thread) ~tenant_id:handle ~kind ~bytes:len
             { conn; req_id; bytes = len; tenant = handle; t_arrive = Sim.now t.sim };
@@ -383,11 +383,11 @@ let accept t conn =
 let rebalance t =
   (* Even out tenant counts across active threads by moving tenants off
      overloaded threads; queued requests migrate with them. *)
-  let total = Hashtbl.length t.tenant_thread in
+  let total = Int_tbl.length t.tenant_thread in
   if t.active > 0 && total > 0 then begin
     let target = (total + t.active - 1) / t.active in
     let moves = ref [] in
-    Hashtbl.iter
+    Int_tbl.iter
       (fun tenant thread ->
         if thread >= t.active || Dataplane.tenant_count t.threads.(thread) > target then
           moves := (tenant, thread) :: !moves)
@@ -408,7 +408,7 @@ let rebalance t =
           match Dataplane.detach_tenant t.threads.(thread) ~id:tenant with
           | Some (slo, rate, backlog) ->
             Dataplane.attach_tenant t.threads.(dest) ~id:tenant ~slo ~token_rate:rate ~backlog;
-            Hashtbl.replace t.tenant_thread tenant dest
+            Int_tbl.replace t.tenant_thread tenant dest
           | None -> ()
         end)
       moves;
@@ -443,7 +443,7 @@ let enable_autoscaling t ?(period = Time.ms 10) ?(high_watermark = 0.85) ?(low_w
 let requests_completed t = t.completed
 
 let deficit_notifications t ~tenant =
-  match Hashtbl.find_opt t.deficit_notes tenant with Some r -> !r | None -> 0
+  match Int_tbl.find_opt t.deficit_notes tenant with Some r -> !r | None -> 0
 
 (* Paper §4.3: the control plane flags tenants that consistently burst
    above their allocation for SLO renegotiation. *)
@@ -451,7 +451,7 @@ let needs_renegotiation ?(threshold = 100) t ~tenant =
   deficit_notifications t ~tenant >= threshold
 
 let tenant_completed t ~tenant =
-  match Hashtbl.find_opt t.tenant_done tenant with Some r -> !r | None -> 0
+  match Int_tbl.find_opt t.tenant_done tenant with Some r -> !r | None -> 0
 
 let tokens_spent t =
   Array.fold_left (fun acc dp -> acc +. Dataplane.tokens_spent dp) 0.0 t.threads
@@ -511,7 +511,7 @@ let reprice t ~capacity_factor =
    than being cut off — its queued requests migrate with it.  Returns
    [true] if the tenant was LC and is now BE. *)
 let demote_tenant t ~tenant =
-  match Hashtbl.find_opt t.tenant_thread tenant with
+  match Int_tbl.find_opt t.tenant_thread tenant with
   | None -> false
   | Some thread -> (
     match Dataplane.detach_tenant t.threads.(thread) ~id:tenant with
@@ -530,7 +530,7 @@ let demote_tenant t ~tenant =
         | Control_plane.Rejected_no_capacity | Control_plane.Rejected_duplicate ->
           (* BE admission cannot fail; defensive only. *)
           ());
-        Hashtbl.replace t.be_tenants tenant ();
+        Int_tbl.replace t.be_tenants tenant ();
         let be_rate =
           effective_rate t
             (Option.value (Control_plane.token_rate_for t.control_plane ~id:tenant) ~default:0.0)

@@ -1,18 +1,18 @@
 (* Binary min-heap in structure-of-arrays layout: the (time, seq) keys and
    the payloads live in three parallel arrays instead of one array of
-   boxed [entry] records.  [Time.t] is a private [int], so the key arrays
-   are plain int arrays: a push or pop allocates nothing and stores
-   into them skip the write barrier.  Sift-up/-down move array cells,
-   never boxes.
+   boxed [entry] records.  [Time.t] is a private [int] and every payload
+   is an [int] (an arena slot), so all three are plain int arrays: a push
+   or pop allocates nothing, and no store pays the write barrier.
+   Sift-up/-down move array cells, never boxes.
 
    Sift operations are hole-lifting: the moving element is held in
    locals while parents/children shift into the hole, so each level
    costs one store per array rather than a three-array swap. *)
 
-type 'a t = {
+type t = {
   mutable times : Time.t array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
   (* key of the last element {!remove_top} took off, read back through
      {!popped_time}/{!popped_seq} so the pop itself returns no tuple *)
@@ -29,32 +29,19 @@ let is_empty t = t.size = 0
    heap never re-climbs the 64-element growth ladder. *)
 let capacity t = Array.length t.times
 
-(* Cold path: double the key/payload arrays (or re-arm the payload array
-   after a [clear], which drops it to release references while the key
-   arrays keep their capacity).  [v] seeds the fresh payload slots — it
-   is the value being pushed, so no foreign dummy is pinned. *)
-let grow t v =
+(* Cold path: double the key/payload arrays. *)
+let grow t =
   let cap = Array.length t.times in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 64 else cap * 2 in
-    let ntimes = Array.make ncap Time.zero in
-    Array.blit t.times 0 ntimes 0 t.size;
-    t.times <- ntimes;
-    let nseqs = Array.make ncap 0 in
-    Array.blit t.seqs 0 nseqs 0 t.size;
-    t.seqs <- nseqs;
-    let nvalues = Array.make ncap v in
-    Array.blit t.values 0 nvalues 0 t.size;
-    t.values <- nvalues
-  end
-  else if Array.length t.values < cap then begin
-    (* First push after [clear]: key arrays kept their capacity, the
-       payload array was dropped; re-make it at full capacity in one
-       step. *)
-    let nvalues = Array.make cap v in
-    Array.blit t.values 0 nvalues 0 t.size;
-    t.values <- nvalues
-  end
+  let ncap = if cap = 0 then 64 else cap * 2 in
+  let ntimes = Array.make ncap Time.zero in
+  Array.blit t.times 0 ntimes 0 t.size;
+  t.times <- ntimes;
+  let nseqs = Array.make ncap 0 in
+  Array.blit t.seqs 0 nseqs 0 t.size;
+  t.seqs <- nseqs;
+  let nvalues = Array.make ncap 0 in
+  Array.blit t.values 0 nvalues 0 t.size;
+  t.values <- nvalues
 
 (* Is the key (time, seq) strictly less than the entry at index [j]?
    [Time.t] is a private [int], so these comparisons compile to plain
@@ -69,7 +56,7 @@ let entry_less t j (time : Time.t) seq =
   tj < time || (tj = time && t.seqs.(j) < seq)
 
 let push t ~time ~seq v =
-  grow t v;
+  if t.size = Array.length t.times then grow t;
   let i = ref t.size in
   t.size <- t.size + 1;
   (* hole-lift sift up *)
@@ -109,12 +96,6 @@ let remove_top t =
   if n > 0 then begin
     (* Hole-lift sift down with the former last element. *)
     let ltime = t.times.(n) and lseq = t.seqs.(n) and lv = t.values.(n) in
-    (* Blank the vacated slot with a duplicate of a live payload so the
-       heap does not pin the removed element (space leak on long runs).
-       When the heap drains to empty, slot 0 still references the
-       returned element until the next push overwrites it — bounded to
-       one entry. *)
-    t.values.(n) <- lv;
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -156,10 +137,6 @@ let pop t =
 let pop_if_le t ~(until : Time.t) =
   if t.size = 0 || t.times.(0) > until then -1 else remove_top t
 
-let clear t =
-  (* Keep the numeric key arrays (capacity survives, see {!capacity});
-     drop only the payload array so cleared entries cannot pin their
-     payloads.  The next push re-makes it at full capacity in one step
-     (see [grow]). *)
-  t.values <- [||];
-  t.size <- 0
+(* Keys and payloads are immediate ints: nothing to release, and the
+   arrays keep their capacity (see {!capacity}). *)
+let clear t = t.size <- 0

@@ -5,7 +5,8 @@
     - {!Heap}: the event priority queue (default backend)
     - {!Wheel}: hierarchical timing-wheel event queue (alternate backend)
     - {!Sim}: the event loop
-    - {!Resource}: multi-server FIFO queues with two priorities *)
+    - {!Resource}: single-server FIFO queues with two priorities
+    - {!Int_tbl}: int-keyed hash tables for the request path *)
 
 module Time = Time
 module Prng = Prng
@@ -13,3 +14,4 @@ module Heap = Heap
 module Wheel = Wheel
 module Sim = Sim
 module Resource = Resource
+module Int_tbl = Int_tbl

@@ -14,7 +14,7 @@ type event_id = int
 
 type backend = Heap | Wheel
 
-type queue = Q_heap of int Heap.t | Q_wheel of Wheel.t
+type queue = Q_heap of Heap.t | Q_wheel of Wheel.t
 
 type t = {
   mutable clock : Time.t;
@@ -28,6 +28,11 @@ type t = {
   mutable a_cancelled : bool array;
   mutable a_daemon : bool array;
   mutable a_action : (unit -> unit) array;
+  (* int-argument events ({!at1}): the continuation and its argument.  A
+     slot holds either a thunk or a continuation, never both; the other
+     array keeps its noop there. *)
+  mutable a_action1 : (int -> unit) array;
+  mutable a_arg : int array;
   mutable a_gen : int array;
   mutable free : int array; (* freelist stack of recycled slots *)
   mutable free_len : int;
@@ -54,6 +59,7 @@ let with_default_backend b f =
 (* Shared thunk so cancellation and slot recycling can drop an event's
    closure without allocating. *)
 let noop_action () = ()
+let noop_action1 (_ : int) = ()
 
 let create ?(seed = default_seed) ?backend () =
   let backend = match backend with Some b -> b | None -> !default_backend in
@@ -68,6 +74,8 @@ let create ?(seed = default_seed) ?backend () =
     a_cancelled = [||];
     a_daemon = [||];
     a_action = [||];
+    a_action1 = [||];
+    a_arg = [||];
     a_gen = [||];
     free = [||];
     free_len = 0;
@@ -111,6 +119,12 @@ let grow_arena t =
   let na = Array.make ncap noop_action in
   Array.blit t.a_action 0 na 0 cap;
   t.a_action <- na;
+  let na1 = Array.make ncap noop_action1 in
+  Array.blit t.a_action1 0 na1 0 cap;
+  t.a_action1 <- na1;
+  let narg = Array.make ncap 0 in
+  Array.blit t.a_arg 0 narg 0 cap;
+  t.a_arg <- narg;
   let ng = Array.make ncap 0 in
   Array.blit t.a_gen 0 ng 0 cap;
   t.a_gen <- ng;
@@ -122,39 +136,56 @@ let grow_arena t =
     t.free_len <- t.free_len + 1
   done
 
-(* Take a slot off the freelist and arm it.  Returns the packed handle. *)
-let alloc_event t ~daemon f =
+(* Take a slot off the freelist and mark it live; the caller stores the
+   action.  Returns the slot. *)
+let alloc_event t ~daemon =
   if t.free_len = 0 then grow_arena t;
   t.free_len <- t.free_len - 1;
   let slot = t.free.(t.free_len) in
   t.a_cancelled.(slot) <- false;
   t.a_daemon.(slot) <- daemon;
-  t.a_action.(slot) <- f;
-  (t.a_gen.(slot) lsl slot_bits) lor slot
+  slot
 
-(* Retire a popped slot: drop the closure, bump the generation (stale
-   handles die), push back onto the freelist. *)
+(* Retire a popped slot: drop whichever action it held, bump the
+   generation (stale handles die), push back onto the freelist. *)
 let free_event t slot =
-  t.a_action.(slot) <- noop_action;
+  if t.a_action1.(slot) != noop_action1 then t.a_action1.(slot) <- noop_action1
+  else t.a_action.(slot) <- noop_action;
   t.a_gen.(slot) <- t.a_gen.(slot) + 1;
   t.free.(t.free_len) <- slot;
   t.free_len <- t.free_len + 1
 
-let schedule t ~daemon time f =
-  if Time.(time < t.clock) then
-    invalid_arg
-      (Printf.sprintf "Sim.at: scheduling in the past (%s < %s)" (Time.to_string time)
-         (Time.to_string t.clock));
-  let id = alloc_event t ~daemon f in
-  queue_push t ~time ~seq:t.seq (id land slot_mask);
+let past t time =
+  invalid_arg
+    (Printf.sprintf "Sim.at: scheduling in the past (%s < %s)" (Time.to_string time)
+       (Time.to_string t.clock))
+
+(* Queue an armed slot at [time] and return its handle. *)
+let enqueue t ~daemon time slot =
+  queue_push t ~time ~seq:t.seq slot;
   t.seq <- t.seq + 1;
   if daemon then t.daemon_pending <- t.daemon_pending + 1;
-  id
+  (t.a_gen.(slot) lsl slot_bits) lor slot
+
+let schedule t ~daemon time f =
+  if Time.(time < t.clock) then past t time;
+  let slot = alloc_event t ~daemon in
+  t.a_action.(slot) <- f;
+  enqueue t ~daemon time slot
 
 let at t time f = schedule t ~daemon:false time f
 let at_daemon t time f = schedule t ~daemon:true time f
 
 let after t delay f = at t (Time.add t.clock delay) f
+
+let at1 t time k arg =
+  if Time.(time < t.clock) then past t time;
+  let slot = alloc_event t ~daemon:false in
+  t.a_action1.(slot) <- k;
+  t.a_arg.(slot) <- arg;
+  enqueue t ~daemon:false time slot
+
+let after1 t delay k arg = at1 t (Time.add t.clock delay) k arg
 
 let cancel t id =
   let slot = id land slot_mask in
@@ -168,6 +199,7 @@ let cancel t id =
        it — retry timers cancel on every successful completion, so the
        window between cancel and pop can hold thousands of dead events. *)
     t.a_action.(slot) <- noop_action;
+    t.a_action1.(slot) <- noop_action1;
     if not t.a_daemon.(slot) then t.cancelled_pending <- t.cancelled_pending + 1
   end
 
@@ -201,16 +233,18 @@ let run ?(until = Time.infinity) t =
         let daemon = t.a_daemon.(slot) in
         let was_cancelled = t.a_cancelled.(slot) in
         let action = t.a_action.(slot) in
+        let action1 = t.a_action1.(slot) in
+        let arg = t.a_arg.(slot) in
         free_event t slot;
         if daemon then t.daemon_pending <- t.daemon_pending - 1
         else if was_cancelled then t.cancelled_pending <- t.cancelled_pending - 1;
         (* A daemon left behind by an earlier [run] whose clock was forced
            forward to [until] can carry a stale timestamp; never move the
            clock backwards. *)
-        t.clock <- Time.max t.clock time;
+        if Time.(time > t.clock) then t.clock <- time;
         if not was_cancelled then begin
           t.executed <- t.executed + 1;
-          action ()
+          if action1 == noop_action1 then action () else action1 arg
         end
       end
   done;

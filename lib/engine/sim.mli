@@ -1,7 +1,8 @@
 (** Discrete-event simulation kernel.
 
     A simulation owns a virtual clock and an event queue.  Events are
-    thunks executed at their scheduled time, in (time, insertion) order.
+    thunks, or int-argument continuations ({!at1}), executed at their
+    scheduled time, in (time, insertion) order.
     Everything in the repository — Flash dies, NIC queues, dataplane
     threads, load generators — is driven by this loop. *)
 
@@ -65,6 +66,17 @@ val at_daemon : t -> Time.t -> (unit -> unit) -> event_id
 
 (** [after t delay f] schedules [f] at [now + delay]. *)
 val after : t -> Time.t -> (unit -> unit) -> event_id
+
+(** [at1 t time k arg] schedules [k arg] at absolute [time]: an
+    int-argument event.  The argument is stored in the event arena next
+    to [k], so a component that keeps one continuation per object (made
+    once, at creation) and passes a slot or cookie as [arg] schedules
+    without allocating.  Ordered with every other event by (time,
+    insertion). *)
+val at1 : t -> Time.t -> (int -> unit) -> int -> event_id
+
+(** [after1 t delay k arg] schedules [k arg] at [now + delay]. *)
+val after1 : t -> Time.t -> (int -> unit) -> int -> event_id
 
 (** Cancel a pending event.  Cancelling an already-fired or already-
     cancelled event is a no-op (the stale generation in the handle makes

@@ -2,7 +2,7 @@ type t = int
 
 let zero = 0
 let infinity = max_int
-let ns x = x
+external ns : int -> t = "%identity"
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let sec x = x * 1_000_000_000
@@ -13,20 +13,23 @@ let to_float_ns t = float_of_int t
 let to_float_us t = float_of_int t /. 1e3
 let to_float_ms t = float_of_int t /. 1e6
 let to_float_sec t = float_of_int t /. 1e9
-let add a b = a + b
-let sub a b = a - b
-let diff a b = a - b
+external add : t -> t -> t = "%addint"
+external sub : t -> t -> t = "%subint"
+external diff : t -> t -> t = "%subint"
 
 let scale t x = of_float_ns (float_of_int t *. x)
 
 let max (a : int) b = if a >= b then a else b
 let min (a : int) b = if a <= b then a else b
-let compare = Int.compare
-let ( < ) (a : int) b = a < b
-let ( <= ) (a : int) b = a <= b
-let ( > ) (a : int) b = a > b
-let ( >= ) (a : int) b = a >= b
-let equal (a : int) b = a = b
+
+(* At [t = int] these primitives specialise to integer compares, here
+   and (through the same declarations in time.mli) at every caller. *)
+external compare : t -> t -> int = "%compare"
+external ( < ) : t -> t -> bool = "%lessthan"
+external ( <= ) : t -> t -> bool = "%lessequal"
+external ( > ) : t -> t -> bool = "%greaterthan"
+external ( >= ) : t -> t -> bool = "%greaterequal"
+external equal : t -> t -> bool = "%equal"
 
 let pp fmt t =
   let f = float_of_int t in

@@ -51,9 +51,9 @@ type t = {
   mutable r_seq : int array;
   mutable r_val : int array;
   mutable r_len : int;
-  late : int Heap.t; (* pushed below the cursor, ordered by (time, seq) *)
+  late : Heap.t; (* pushed below the cursor, ordered by (time, seq) *)
   mutable late_n : int; (* [Heap.length late], kept here for the pop path *)
-  ovf : int Heap.t; (* beyond-horizon events, ordered by (time, seq) *)
+  ovf : Heap.t; (* beyond-horizon events, ordered by (time, seq) *)
   mutable total : int;
   mutable popped_time : Time.t; (* key of the last popped entry *)
 }

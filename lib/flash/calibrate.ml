@@ -33,7 +33,9 @@ let measure ?(config = default_config) profile ~read_ratio ~bytes ~rate =
     if Time.(now <= stop_at) then begin
       let kind = if Prng.bool arrival_prng read_ratio then Io_op.Read else Io_op.Write in
       let measured = Time.(now >= config.warmup) in
-      Nvme_model.submit dev ~kind ~bytes (fun ~latency ->
+      Nvme_model.submit dev ~kind ~bytes
+        (fun _ ->
+          let latency = Nvme_model.last_latency dev in
           (* Latencies count for any request submitted in the window;
              completion-rate counters only up to the window's end, so that
              the post-window drain cannot inflate the achieved rate. *)
@@ -46,7 +48,8 @@ let measure ?(config = default_config) profile ~read_ratio ~bytes ~rate =
             | Write ->
               Hdr_histogram.record writes (latency :> int);
               if in_window then incr write_completions
-          end);
+          end)
+        0;
       let gap = Time.of_float_ns (Prng.exponential arrival_prng ~mean:mean_gap_ns) in
       ignore (Sim.after sim (Time.max gap (Time.ns 1)) arrival)
     end

@@ -29,9 +29,18 @@ val create :
 
 val profile : t -> Device_profile.t
 
-(** [submit t ~kind ~bytes cb] issues an I/O; [cb ~latency] fires at
-    completion (for writes: at DRAM-buffer acknowledgement). *)
-val submit : t -> kind:Io_op.kind -> bytes:int -> (latency:Time.t -> unit) -> unit
+(** [submit t ~kind ~bytes k arg] issues an I/O; [k arg] runs at
+    completion (for writes: at DRAM-buffer acknowledgement), and
+    {!last_latency} then reads the I/O's latency.  The I/O and each of
+    its die jobs wait in slots of per-device arenas and move between
+    stages on continuations the device made at creation, so with a [k]
+    made once by the caller the path allocates nothing in steady
+    state. *)
+val submit : t -> kind:Io_op.kind -> bytes:int -> (int -> unit) -> int -> unit
+
+(** Latency of the I/O whose completion continuation is running (from
+    its {!submit} to now); unspecified outside a continuation. *)
+val last_latency : t -> Time.t
 
 (** True when a read arriving now would see the pure-read fast path. *)
 val read_only_mode : t -> bool

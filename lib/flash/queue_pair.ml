@@ -16,23 +16,13 @@ type t = {
   mutable cq_len : int;
   mutable inflight : int;
   mutable completion_hook : unit -> unit;
+  (* [complete t], made once in [create]: every command's completion *)
+  mutable on_complete : int -> unit;
 }
 
-let create dev =
-  let depth = (Nvme_model.profile dev).Device_profile.sq_depth in
-  let size = ref 16 in
-  while !size < depth do size := !size * 2 done;
-  {
-    dev;
-    cq_cookie = Array.make !size 0;
-    cq_kind = Array.make !size Io_op.Read;
-    cq_lat = Array.make !size Reflex_engine.Time.zero;
-    cq_mask = !size - 1;
-    cq_head = 0;
-    cq_len = 0;
-    inflight = 0;
-    completion_hook = (fun () -> ());
-  }
+(* A command's device continuation carries its cookie and kind in one
+   int: [cookie lsl 1], plus 1 for a write. *)
+let tag ~cookie (kind : Io_op.kind) = (cookie lsl 1) lor (match kind with Read -> 0 | Write -> 1)
 
 let set_completion_hook t f = t.completion_hook <- f
 
@@ -55,20 +45,44 @@ let cq_grow t =
   t.cq_mask <- size - 1;
   t.cq_head <- 0
 
+(* The interrupt path: three ring stores and the hook. *)
+let complete t tagged =
+  t.inflight <- t.inflight - 1;
+  if t.cq_len > t.cq_mask then cq_grow t;
+  let i = (t.cq_head + t.cq_len) land t.cq_mask in
+  t.cq_cookie.(i) <- tagged lsr 1;
+  t.cq_kind.(i) <- (if tagged land 1 = 0 then Io_op.Read else Io_op.Write);
+  t.cq_lat.(i) <- Nvme_model.last_latency t.dev;
+  t.cq_len <- t.cq_len + 1;
+  t.completion_hook ()
+
+let create dev =
+  let depth = (Nvme_model.profile dev).Device_profile.sq_depth in
+  let size = ref 16 in
+  while !size < depth do size := !size * 2 done;
+  let t =
+  {
+    dev;
+    cq_cookie = Array.make !size 0;
+    cq_kind = Array.make !size Io_op.Read;
+    cq_lat = Array.make !size Reflex_engine.Time.zero;
+    cq_mask = !size - 1;
+    cq_head = 0;
+    cq_len = 0;
+    inflight = 0;
+    completion_hook = (fun () -> ());
+    on_complete = (fun _ -> ());
+  }
+  in
+  t.on_complete <- complete t;
+  t
+
 let submit t ~kind ~bytes ~cookie =
   let depth = (Nvme_model.profile t.dev).Device_profile.sq_depth in
   if t.inflight >= depth then `Full
   else begin
     t.inflight <- t.inflight + 1;
-    Nvme_model.submit t.dev ~kind ~bytes (fun ~latency ->
-        t.inflight <- t.inflight - 1;
-        if t.cq_len > t.cq_mask then cq_grow t;
-        let i = (t.cq_head + t.cq_len) land t.cq_mask in
-        t.cq_cookie.(i) <- cookie;
-        t.cq_kind.(i) <- kind;
-        t.cq_lat.(i) <- latency;
-        t.cq_len <- t.cq_len + 1;
-        t.completion_hook ());
+    Nvme_model.submit t.dev ~kind ~bytes t.on_complete (tag ~cookie kind);
     `Ok
   end
 

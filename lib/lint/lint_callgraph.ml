@@ -220,16 +220,12 @@ let scan_file ~rel (str : structure) =
 
 let taint_source_of parts ~has_sort =
   let head = match parts with h :: _ -> h | [] -> "" in
-  let last = match List.rev parts with l :: _ -> l | [] -> "" in
   let path = String.concat "." parts in
   if head = "Random" then Some (path ^ " (ambient PRNG)")
   else if List.mem path Lint_rules.clock_paths then Some (path ^ " (wall clock)")
   else if head = "Marshal" then Some (path ^ " (Marshal bytes)")
-  else if
-    head = "Hashtbl"
-    && List.mem last [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
-    && not has_sort
-  then Some (path ^ " (unsorted Hashtbl iteration)")
+  else if Lint_rules.unordered_iter parts && not has_sort then
+    Some (path ^ " (unsorted Hashtbl iteration)")
   else None
 
 let build (facts : file_facts list) =

@@ -9,7 +9,7 @@
      det/random        any use of the ambient Stdlib [Random] module
      det/clock         wall-clock reads ([Unix.gettimeofday] & friends)
      det/marshal       [Marshal] (output depends on sharing/arch)
-     det/hashtbl-order [Hashtbl.iter]/[fold]/[to_seq] in a toplevel
+     det/hashtbl-order [Hashtbl.iter]/[fold]/[to_seq] (or [Int_tbl]'s) in a toplevel
                        binding that contains no sorting call
      dom/toplevel-state  module-toplevel mutable allocations (shared
                        across Runner.map domains)
@@ -127,9 +127,15 @@ let check_idents ~file str =
       | _ -> ());
   !out
 
-let is_hashtbl_iter lid =
-  lid_head lid = "Hashtbl"
-  && List.mem (lid_last lid) [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
+(* Iteration over a hash table, by module path: the stdlib [Hashtbl] or
+   the engine's [Int_tbl] ([Hashtbl.Make] over ints), whether opened
+   ([Int_tbl.iter]) or qualified ([Reflex_engine.Int_tbl.fold]). *)
+let unordered_iter parts =
+  match List.rev parts with
+  | f :: m :: rest ->
+    List.mem f [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
+    && (m = "Int_tbl" || (m = "Hashtbl" && rest = []))
+  | _ -> false
 
 let is_sort_name s =
   let has_sub sub =
@@ -146,7 +152,7 @@ let check_hashtbl_order ~file str =
       iter_sub_exprs vb.pvb_expr (fun e ->
           match e.pexp_desc with
           | Pexp_ident { txt = lid; loc } ->
-            if is_hashtbl_iter lid then iters := (lid_string lid, loc) :: !iters
+            if unordered_iter (lid_parts lid) then iters := (lid_string lid, loc) :: !iters
             else if is_sort_name (lid_last lid) then sorted := true
           | _ -> ());
       if not !sorted then

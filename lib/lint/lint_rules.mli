@@ -26,7 +26,10 @@ val pos_of : Location.t -> int * int
     sources). *)
 val clock_paths : string list
 
-val is_hashtbl_iter : Longident.t -> bool
+(** Does this module path ([["Int_tbl"; "iter"]], say) iterate a hash
+    table — [Hashtbl] or [Int_tbl] — in unspecified order? *)
+val unordered_iter : string list -> bool
+
 val is_sort_name : string -> bool
 
 (** Is this conditional's condition an enabled/armed/[*_on] guard? *)

@@ -26,11 +26,19 @@ val add_host : t -> name:string -> stack:Stack_model.t -> host
 val host_name : host -> string
 val host_stack : host -> Stack_model.t
 
-(** [transmit t ~src ~dst ~bytes k] delivers [bytes] from [src] to [dst]:
-    serialization on the source tx link, NIC+switch propagation,
-    serialization on the destination rx link, then the destination stack's
-    receive delay (coalescing, wakeups).  [k] runs at delivery. *)
-val transmit : t -> src:host -> dst:host -> bytes:int -> (unit -> unit) -> unit
+(** [transmit t ~src ~dst ~bytes k arg] delivers [bytes] from [src] to
+    [dst]: serialization on the source tx link, NIC+switch propagation,
+    serialization on the destination rx link, then the destination
+    stack's receive delay (coalescing, wakeups).  [k arg] runs at
+    delivery (twice under an armed duplicate fault, the copy after the
+    original).
+
+    The message waits in a slot of the fabric's in-flight arena and
+    moves between stages on continuations the fabric made at creation,
+    so with a [k] made once by the caller (per connection, say) and an
+    int [arg] naming the message, a transmission allocates nothing in
+    steady state. *)
+val transmit : t -> src:host -> dst:host -> bytes:int -> (int -> unit) -> int -> unit
 
 (** Cumulative bytes sent by a host (for bandwidth accounting). *)
 val bytes_sent : host -> int

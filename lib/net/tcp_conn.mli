@@ -5,7 +5,16 @@
     FIFO delivery — the only ordering the paper's ReFlex provides (§4.1
     "Limitations").  The sender's transmit-path latency is applied here;
     the sender's CPU cost is charged by the sending component, since
-    clients and servers model their cores differently. *)
+    clients and servers model their cores differently.
+
+    A message waits in its direction's reassembly ring, at its sequence
+    number, from the send until its in-order delivery; the sequence
+    number is all the stack-delay event and the fabric carry, on
+    continuations made once per connection.  So a send allocates nothing
+    in steady state.  The ring starts empty, doubles when the window of
+    undelivered messages fills it, and overwrites a delivered slot with
+    a fixed filler (the direction's first message), so it keeps no
+    delivered message reachable. *)
 
 type 'a t
 

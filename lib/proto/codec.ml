@@ -88,11 +88,24 @@ let get_req_id buf off =
     invalid_arg (Printf.sprintf "Codec.decode: req_id %Lu out of range" v);
   Int64.to_int v
 
+(* LBAs are immediate ints in [0, max_int] too, in the same 64-bit
+   field (which a register message uses for its packed SLO). *)
+let lba_to_wire v =
+  if v < 0 then invalid_arg "Codec: lba out of range";
+  Int64.of_int v
+
+let lba_of_wire v =
+  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+    invalid_arg (Printf.sprintf "Codec.decode: lba %Lu out of range" v);
+  Int64.to_int v
+
 let fields = function
   | Message.Register { tenant; slo } -> (op_register, 0, tenant, 0, pack_slo slo, 0)
   | Message.Unregister { handle } -> (op_unregister, 0, handle, 0, 0L, 0)
-  | Message.Read_req { handle; req_id; lba; len } -> (op_read, 0, handle, req_id, lba, len)
-  | Message.Write_req { handle; req_id; lba; len } -> (op_write, 0, handle, req_id, lba, len)
+  | Message.Read_req { handle; req_id; lba; len } ->
+    (op_read, 0, handle, req_id, lba_to_wire lba, len)
+  | Message.Write_req { handle; req_id; lba; len } ->
+    (op_write, 0, handle, req_id, lba_to_wire lba, len)
   | Message.Registered { handle; status } ->
     (op_registered, status_to_int status, handle, 0, 0L, 0)
   | Message.Unregistered { handle } -> (op_unregistered, 0, handle, 0, 0L, 0)
@@ -147,13 +160,15 @@ let decode buf off =
   let status = status_of_int (Bytes.get_uint8 buf (off + 3)) in
   let handle = get_u32 buf (off + 4) in
   let req_id = get_req_id buf (off + 8) in
-  let lba = get_u64 buf (off + 16) in
+  let wire_lba = get_u64 buf (off + 16) in
   let len = get_u32 buf (off + 24) in
   let msg =
-    if opcode = op_register then Message.Register { tenant = handle; slo = unpack_slo lba }
+    if opcode = op_register then Message.Register { tenant = handle; slo = unpack_slo wire_lba }
     else if opcode = op_unregister then Message.Unregister { handle }
-    else if opcode = op_read then Message.Read_req { handle; req_id; lba; len }
-    else if opcode = op_write then Message.Write_req { handle; req_id; lba; len }
+    else if opcode = op_read then
+      Message.Read_req { handle; req_id; lba = lba_of_wire wire_lba; len }
+    else if opcode = op_write then
+      Message.Write_req { handle; req_id; lba = lba_of_wire wire_lba; len }
     else if opcode = op_registered then Message.Registered { handle; status }
     else if opcode = op_unregistered then Message.Unregistered { handle }
     else if opcode = op_read_resp then Message.Read_resp { req_id; status; len }

@@ -18,7 +18,7 @@ val encode : Message.t -> bytes
 
 (** [encode_into msg buf off] writes at [off], returning the bytes
     written.  Raises [Invalid_argument] if [buf] is too small or the
-    request id is negative. *)
+    request id or a read/write request's LBA is negative. *)
 val encode_into : Message.t -> bytes -> int -> int
 
 (** [peek_total buf off] reads just the header at [off] and returns the
@@ -29,6 +29,7 @@ val peek_total : bytes -> int -> int
 (** [decode buf off] parses one message starting at [off]; returns the
     message and total bytes consumed (header + payload).
     Raises [Invalid_argument] on bad magic, unknown opcode, short
-    buffer, or a 64-bit wire request id outside [[0, max_int]] (request
-    ids are immediate [int]s; the wire field keeps 64 bits). *)
+    buffer, or a 64-bit wire request id or read/write LBA outside
+    [[0, max_int]] (request ids and LBAs are immediate [int]s; the wire
+    fields keep 64 bits). *)
 val decode : bytes -> int -> Message.t * int

@@ -17,8 +17,8 @@ let best_effort_slo = { latency_us = 0; iops = 0; read_pct = 100; latency_critic
 type t =
   | Register of { tenant : int; slo : slo }
   | Unregister of { handle : int }
-  | Read_req of { handle : int; req_id : int; lba : int64; len : int }
-  | Write_req of { handle : int; req_id : int; lba : int64; len : int }
+  | Read_req of { handle : int; req_id : int; lba : int; len : int }
+  | Write_req of { handle : int; req_id : int; lba : int; len : int }
   | Barrier_req of { handle : int; req_id : int }
   | Registered of { handle : int; status : status }
   | Unregistered of { handle : int }
@@ -36,9 +36,9 @@ let pp fmt = function
       slo.iops slo.latency_us slo.read_pct
   | Unregister { handle } -> Format.fprintf fmt "unregister(%d)" handle
   | Read_req { handle; req_id; lba; len } ->
-    Format.fprintf fmt "read(h=%d, id=%d, lba=%Ld, len=%d)" handle req_id lba len
+    Format.fprintf fmt "read(h=%d, id=%d, lba=%d, len=%d)" handle req_id lba len
   | Write_req { handle; req_id; lba; len } ->
-    Format.fprintf fmt "write(h=%d, id=%d, lba=%Ld, len=%d)" handle req_id lba len
+    Format.fprintf fmt "write(h=%d, id=%d, lba=%d, len=%d)" handle req_id lba len
   | Registered { handle; status } ->
     Format.fprintf fmt "registered(h=%d, %s)" handle (status_to_string status)
   | Unregistered { handle } -> Format.fprintf fmt "unregistered(%d)" handle

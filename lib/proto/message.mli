@@ -31,8 +31,8 @@ val best_effort_slo : slo
 type t =
   | Register of { tenant : int; slo : slo }
   | Unregister of { handle : int }
-  | Read_req of { handle : int; req_id : int; lba : int64; len : int }
-  | Write_req of { handle : int; req_id : int; lba : int64; len : int }
+  | Read_req of { handle : int; req_id : int; lba : int; len : int }
+  | Write_req of { handle : int; req_id : int; lba : int; len : int }
   | Barrier_req of { handle : int; req_id : int }
       (** §4.1 extension: completes only after every I/O the tenant issued
           before it has completed; I/Os issued after it wait for it. *)

@@ -31,7 +31,7 @@ type 'a t = {
   mutable lc_n : int;
   mutable be : 'a Tenant.t array;
   mutable be_n : int;
-  by_id : (int, 'a Tenant.t) Hashtbl.t; (* O(1) lookup on the request path *)
+  by_id : 'a Tenant.t Int_tbl.t; (* O(1) lookup on the request path *)
   mutable be_cursor : int; (* round-robin start for fairness *)
   mutable prev_sched_time : Time.t; (* meaningful once [scheduled] *)
   mutable scheduled : bool;
@@ -72,7 +72,7 @@ let create ?(neg_limit = -50.0) ?(donate_fraction = 0.9) ~global ~thread_id
     lc_n = 0;
     be = [||];
     be_n = 0;
-    by_id = Hashtbl.create 64;
+    by_id = Int_tbl.create 64;
     be_cursor = 0;
     prev_sched_time = Time.zero;
     scheduled = false;
@@ -122,9 +122,9 @@ let grow_push arr n x =
   arr
 
 let add_tenant t tenant =
-  if Hashtbl.mem t.by_id (Tenant.id tenant) then
+  if Int_tbl.mem t.by_id (Tenant.id tenant) then
     invalid_arg "Scheduler.add_tenant: duplicate tenant id";
-  Hashtbl.replace t.by_id (Tenant.id tenant) tenant;
+  Int_tbl.replace t.by_id (Tenant.id tenant) tenant;
   if Tenant.is_latency_critical tenant then begin
     t.lc <- grow_push t.lc t.lc_n tenant;
     t.lc_n <- t.lc_n + 1
@@ -153,10 +153,10 @@ let remove_from arr n tenant_id =
   !j
 
 let remove_tenant t tenant_id =
-  match Hashtbl.find_opt t.by_id tenant_id with
+  match Int_tbl.find_opt t.by_id tenant_id with
   | None -> ()
   | Some tenant ->
-    Hashtbl.remove t.by_id tenant_id;
+    Int_tbl.remove t.by_id tenant_id;
     Tenant.detach_backlog tenant;
     unregister_tenant_gauges t tenant_id;
     t.backlog.total <- t.backlog.total -. Tenant.demand tenant;
@@ -175,13 +175,12 @@ let remove_tenant t tenant_id =
 let tenants t =
   List.init t.lc_n (fun i -> t.lc.(i)) @ List.init t.be_n (fun i -> t.be.(i))
 
-let find_tenant t tenant_id = Hashtbl.find_opt t.by_id tenant_id
-let tenant_count t = Hashtbl.length t.by_id
+let find_tenant t tenant_id = Int_tbl.find_opt t.by_id tenant_id
+let has_tenant t tenant_id = Int_tbl.mem t.by_id tenant_id
+let tenant_count t = Int_tbl.length t.by_id
 
 let enqueue t ~tenant_id ~cost req =
-  match find_tenant t tenant_id with
-  | Some tenant -> Tenant.enqueue tenant ~cost req
-  | None -> raise Not_found
+  Tenant.enqueue (Int_tbl.find t.by_id tenant_id) ~cost req
 
 (* O(1): the shared backlog cell.  Clamp tiny negative float drift so
    idle detection stays exact. *)

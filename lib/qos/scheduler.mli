@@ -52,6 +52,9 @@ val add_tenant : 'a t -> 'a Tenant.t -> unit
 val remove_tenant : 'a t -> int -> unit
 
 val find_tenant : 'a t -> int -> 'a Tenant.t option
+
+(** [has_tenant t id] is [find_tenant t id <> None], without the option. *)
+val has_tenant : 'a t -> int -> bool
 val tenants : 'a t -> 'a Tenant.t list
 val tenant_count : 'a t -> int
 

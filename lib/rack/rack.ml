@@ -66,7 +66,7 @@ type t = {
   disp : int array;  (* cumulative dispatches *)
   last_probe : Time.t array;  (* per-server instant of the last probe sample *)
   (* tenants *)
-  tenants : (int, tenant) Hashtbl.t;  (* id -> tenant, LOOKUP ONLY *)
+  tenants : tenant Int_tbl.t;  (* id -> tenant, LOOKUP ONLY *)
   mutable tenants_rev : tenant list;  (* registration order, reversed *)
   mutable n_tenants : int;
   (* rack-wide accounting *)
@@ -133,7 +133,7 @@ let create sim ~n_servers ?(n_threads = 1) ?profile ?(policy = Policy.Po2c)
       exact = Array.make n_servers 0;
       disp = Array.make n_servers 0;
       last_probe = Array.make n_servers (Sim.now sim);
-      tenants = Hashtbl.create 4096;
+      tenants = Int_tbl.create 4096;
       tenants_rev = [];
       n_tenants = 0;
       hist = Hdr.create ();
@@ -208,9 +208,9 @@ let sample_probes t =
 let probe_age t ~server = Time.diff (Sim.now t.sim) t.last_probe.(server)
 
 let find_tenant t id =
-  match Hashtbl.find_opt t.tenants id with
-  | Some ten -> ten
-  | None -> invalid_arg (Printf.sprintf "Rack: unknown tenant %d" id)
+  match Int_tbl.find t.tenants id with
+  | ten -> ten
+  | exception Not_found -> invalid_arg (Printf.sprintf "Rack: unknown tenant %d" id)
 
 let tenant_home t ~tenant = (find_tenant t tenant).home
 let tenant_replicas t ~tenant = Array.copy (find_tenant t tenant).replicas
@@ -267,7 +267,7 @@ let register_sync t conn ~tenant ~slo =
 
 let rec add_tenant t ~id ~(slo : Message.slo) ~replicas =
   if replicas < 1 then invalid_arg "Rack.add_tenant: replicas < 1";
-  if Hashtbl.mem t.tenants id then invalid_arg "Rack.add_tenant: duplicate id";
+  if Int_tbl.mem t.tenants id then invalid_arg "Rack.add_tenant: duplicate id";
   let qslo = slo_of_message slo in
   (* Pick target servers first (exclusion set grows with each pick so
      replicas land on distinct servers), then register on each; the
@@ -295,7 +295,7 @@ let rec add_tenant t ~id ~(slo : Message.slo) ~replicas =
 and add_tenant_on t ~id ~(slo : Message.slo) ~server =
   if server < 0 || server >= Array.length t.servers then
     invalid_arg "Rack.add_tenant_on: server";
-  if Hashtbl.mem t.tenants id then invalid_arg "Rack.add_tenant_on: duplicate id";
+  if Int_tbl.mem t.tenants id then invalid_arg "Rack.add_tenant_on: duplicate id";
   let conn = connect_to t server in
   match register_sync t conn ~tenant:id ~slo with
   | Message.Ok ->
@@ -318,7 +318,7 @@ and finish_add t ~id ~slo = function
         t_dispatched = 0;
       }
     in
-    Hashtbl.add t.tenants id ten;
+    Int_tbl.add t.tenants id ten;
     t.tenants_rev <- ten :: t.tenants_rev;
     t.n_tenants <- t.n_tenants + 1;
     `Placed (Array.copy replicas)
@@ -394,7 +394,7 @@ let dispatch_read t ?on_complete ~tenant ~lba ~len () =
       t.tracer.tr_issue ~slot ~server:s ~tenant
         ~req:(Client_lib.next_req_id a.a_conn)
         ~now:(Sim.now t.sim);
-    Client_lib.read a.a_conn ~lba ~len complete
+    Client_lib.read a.a_conn ~lba:(Int64.to_int lba) ~len complete
   in
   let d = Link.ingress t.link s in
   if Time.equal d Time.zero then issue ()

@@ -28,7 +28,7 @@ let test_access_path_local () =
   let sim = Sim.create () in
   let path = local_path sim in
   let lat = ref None in
-  Access_path.submit path ~kind:Io_op.Read ~lba:0L ~bytes:4096 (fun ~latency -> lat := Some latency);
+  Access_path.submit path ~kind:Io_op.Read ~lba:0 ~bytes:4096 (fun ~latency -> lat := Some latency);
   ignore (Sim.run sim);
   match !lat with
   | Some l -> Alcotest.(check bool) "local latency ~78us" true Time.(l > Time.us 40 && l < Time.us 200)
@@ -37,7 +37,7 @@ let test_access_path_local () =
 let test_access_path_remote () =
   let sim, path = reflex_path () in
   let lat = ref None in
-  Access_path.submit path ~kind:Io_op.Write ~lba:5L ~bytes:4096 (fun ~latency -> lat := Some latency);
+  Access_path.submit path ~kind:Io_op.Write ~lba:5 ~bytes:4096 (fun ~latency -> lat := Some latency);
   ignore (Sim.run sim);
   match !lat with
   | Some l ->

@@ -17,32 +17,52 @@ let test_acl_default_deny () =
   let acl = Acl.create () in
   Alcotest.(check bool) "conn denied" false (Acl.connection_allowed acl ~tenant:1);
   Alcotest.(check bool) "io denied" true
-    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:0L ~lba_count:1 = Acl.Denied_permission)
+    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:0 ~lba_count:1 = Acl.Denied_permission)
 
 let test_acl_grant () =
   let acl = Acl.create () in
-  Acl.grant acl ~tenant:1 { Acl.lba_lo = 100L; lba_hi = 200L; can_read = true; can_write = false };
+  Acl.grant acl ~tenant:1 { Acl.lba_lo = 100; lba_hi = 200; can_read = true; can_write = false };
   Alcotest.(check bool) "conn ok" true (Acl.connection_allowed acl ~tenant:1);
   Alcotest.(check bool) "read in range" true
-    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:150L ~lba_count:8 = Acl.Allowed);
+    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:150 ~lba_count:8 = Acl.Allowed);
   Alcotest.(check bool) "read to edge ok" true
-    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:199L ~lba_count:1 = Acl.Allowed);
+    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:199 ~lba_count:1 = Acl.Allowed);
   Alcotest.(check bool) "read past range" true
-    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:199L ~lba_count:2 = Acl.Denied_range);
+    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:199 ~lba_count:2 = Acl.Denied_range);
   Alcotest.(check bool) "read below range" true
-    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:99L ~lba_count:1 = Acl.Denied_range);
+    (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba:99 ~lba_count:1 = Acl.Denied_range);
   Alcotest.(check bool) "write not permitted" true
-    (Acl.check acl ~tenant:1 ~kind:Io_op.Write ~lba:150L ~lba_count:1 = Acl.Denied_permission);
+    (Acl.check acl ~tenant:1 ~kind:Io_op.Write ~lba:150 ~lba_count:1 = Acl.Denied_permission);
   Acl.revoke acl ~tenant:1;
   Alcotest.(check bool) "revoked" false (Acl.connection_allowed acl ~tenant:1)
 
 let test_acl_permissive () =
-  let acl = Acl.create_permissive ~lba_hi:1000L () in
+  let acl = Acl.create_permissive ~lba_hi:1000 () in
   Alcotest.(check bool) "any tenant" true (Acl.connection_allowed acl ~tenant:42);
   Alcotest.(check bool) "rw ok" true
-    (Acl.check acl ~tenant:42 ~kind:Io_op.Write ~lba:0L ~lba_count:1 = Acl.Allowed);
+    (Acl.check acl ~tenant:42 ~kind:Io_op.Write ~lba:0 ~lba_count:1 = Acl.Allowed);
   Alcotest.(check bool) "range still enforced" true
-    (Acl.check acl ~tenant:42 ~kind:Io_op.Read ~lba:999L ~lba_count:2 = Acl.Denied_range)
+    (Acl.check acl ~tenant:42 ~kind:Io_op.Read ~lba:999 ~lba_count:2 = Acl.Denied_range)
+
+(* LBAs are immediate ints: the range check must hold at the top of the
+   int range, where [lba + lba_count - 1] would wrap negative and pass a
+   naive [last < lba_hi] test. *)
+let test_acl_int_boundary () =
+  let acl = Acl.create () in
+  Acl.grant acl ~tenant:1 { Acl.lba_lo = 0; lba_hi = max_int; can_read = true; can_write = true };
+  let check name expected ~lba ~lba_count =
+    Alcotest.(check bool) name true (Acl.check acl ~tenant:1 ~kind:Io_op.Read ~lba ~lba_count = expected)
+  in
+  check "last block below max_int" Acl.Allowed ~lba:(max_int - 1) ~lba_count:1;
+  check "straddles max_int" Acl.Denied_range ~lba:(max_int - 1) ~lba_count:2;
+  check "starts at max_int" Acl.Denied_range ~lba:max_int ~lba_count:1;
+  check "count that would wrap" Acl.Denied_range ~lba:(max_int - 1) ~lba_count:max_int;
+  check "whole namespace" Acl.Allowed ~lba:0 ~lba_count:max_int;
+  check "negative lba" Acl.Denied_range ~lba:(-1) ~lba_count:1;
+  check "min_int lba" Acl.Denied_range ~lba:min_int ~lba_count:1;
+  let open_ended = Acl.create_permissive () in
+  Alcotest.(check bool) "permissive default spans to max_int" true
+    (Acl.check open_ended ~tenant:3 ~kind:Io_op.Write ~lba:(max_int - 8) ~lba_count:8 = Acl.Allowed)
 
 (* ------------------------------------------------------------------ *)
 (* Costs                                                              *)
@@ -224,7 +244,7 @@ let test_e2e_read_roundtrip () =
   let client = connect_client sim fabric server () in
   register_ok sim client ~tenant:1 ();
   let result = ref None in
-  Client_lib.read client ~lba:42L ~len:4096 (fun status ~latency ->
+  Client_lib.read client ~lba:42 ~len:4096 (fun status ~latency ->
       result := Some (status, latency));
   ignore (Sim.run sim);
   (match !result with
@@ -259,7 +279,7 @@ let test_e2e_write_roundtrip () =
 let test_e2e_acl_denied_tenant () =
   let acl = Acl.create () in
   (* Only tenant 7 exists; tenant 8 may not even connect. *)
-  Acl.grant acl ~tenant:7 { Acl.lba_lo = 0L; lba_hi = 1_000_000L; can_read = true; can_write = true };
+  Acl.grant acl ~tenant:7 { Acl.lba_lo = 0; lba_hi = 1_000_000; can_read = true; can_write = true };
   let sim, fabric, server = setup ~acl () in
   let client = connect_client sim fabric server () in
   let status = ref None in
@@ -269,23 +289,23 @@ let test_e2e_acl_denied_tenant () =
 
 let test_e2e_out_of_range () =
   let acl = Acl.create () in
-  Acl.grant acl ~tenant:1 { Acl.lba_lo = 0L; lba_hi = 1000L; can_read = true; can_write = true };
+  Acl.grant acl ~tenant:1 { Acl.lba_lo = 0; lba_hi = 1000; can_read = true; can_write = true };
   let sim, fabric, server = setup ~acl () in
   let client = connect_client sim fabric server () in
   register_ok sim client ~tenant:1 ();
   let status = ref None in
-  Client_lib.read client ~lba:5000L ~len:4096 (fun s ~latency:_ -> status := Some s);
+  Client_lib.read client ~lba:5000 ~len:4096 (fun s ~latency:_ -> status := Some s);
   ignore (Sim.run sim);
   Alcotest.(check bool) "out of range" true (!status = Some Message.Out_of_range)
 
 let test_e2e_read_only_namespace () =
   let acl = Acl.create () in
-  Acl.grant acl ~tenant:1 { Acl.lba_lo = 0L; lba_hi = 1000L; can_read = true; can_write = false };
+  Acl.grant acl ~tenant:1 { Acl.lba_lo = 0; lba_hi = 1000; can_read = true; can_write = false };
   let sim, fabric, server = setup ~acl () in
   let client = connect_client sim fabric server () in
   register_ok sim client ~tenant:1 ();
   let status = ref None in
-  Client_lib.write client ~lba:1L ~len:4096 (fun s ~latency:_ -> status := Some s);
+  Client_lib.write client ~lba:1 ~len:4096 (fun s ~latency:_ -> status := Some s);
   ignore (Sim.run sim);
   Alcotest.(check bool) "write denied" true (!status = Some Message.Denied)
 
@@ -320,8 +340,8 @@ let test_e2e_two_conns_share_tenant () =
   register_ok sim c2 ~tenant:5 ();
   Alcotest.(check int) "one tenant" 1 (Server.registered_tenants server);
   let ok = ref 0 in
-  Client_lib.read c1 ~lba:0L ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok);
-  Client_lib.read c2 ~lba:1L ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok);
+  Client_lib.read c1 ~lba:0 ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok);
+  Client_lib.read c2 ~lba:1 ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok);
   ignore (Sim.run sim);
   Alcotest.(check int) "both conns served" 2 !ok
 
@@ -330,7 +350,7 @@ let test_e2e_io_without_register_raises () =
   let client = connect_client sim fabric server () in
   ignore sim;
   Alcotest.check_raises "client refuses" (Failure "Client_lib: not registered") (fun () ->
-      Client_lib.read client ~lba:0L ~len:4096 (fun _ ~latency:_ -> ()))
+      Client_lib.read client ~lba:0 ~len:4096 (fun _ ~latency:_ -> ()))
 
 let test_e2e_raw_io_on_unregistered_conn_denied () =
   (* Bypass the client library and push a raw read request on a fresh
@@ -341,7 +361,7 @@ let test_e2e_raw_io_on_unregistered_conn_denied () =
   Server.accept server conn;
   let got = ref None in
   Tcp_conn.set_client_handler conn (fun msg ~size:_ -> got := Some msg);
-  let msg = Message.Read_req { handle = 1; req_id = 9; lba = 0L; len = 4096 } in
+  let msg = Message.Read_req { handle = 1; req_id = 9; lba = 0; len = 4096 } in
   Tcp_conn.send_to_server conn ~size:(Codec.encoded_size msg) msg;
   ignore (Sim.run sim);
   match !got with
@@ -365,14 +385,14 @@ let test_e2e_thread_scaling_rebalances () =
   (* All four tenants still reachable after rebalancing. *)
   let ok = ref 0 in
   List.iter
-    (fun c -> Client_lib.read c ~lba:0L ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok))
+    (fun c -> Client_lib.read c ~lba:0 ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok))
     clients;
   ignore (Sim.run sim);
   Alcotest.(check int) "served after rebalance" 4 !ok;
   Server.scale_threads server 1;
   let ok2 = ref 0 in
   List.iter
-    (fun c -> Client_lib.read c ~lba:0L ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok2))
+    (fun c -> Client_lib.read c ~lba:0 ~len:4096 (fun s ~latency:_ -> if s = Message.Ok then incr ok2))
     clients;
   ignore (Sim.run sim);
   Alcotest.(check int) "served after scale-down" 4 !ok2
@@ -497,14 +517,14 @@ let test_e2e_barrier_orders_io () =
   register_ok sim client ~tenant:1 ();
   let events = ref [] in
   for i = 1 to 8 do
-    Client_lib.write client ~lba:(Int64.of_int i) ~len:4096 (fun _ ~latency:_ ->
+    Client_lib.write client ~lba:i ~len:4096 (fun _ ~latency:_ ->
         events := `Write_done i :: !events)
   done;
   Client_lib.barrier client (fun status ~latency:_ ->
       Alcotest.(check bool) "barrier ok" true (status = Message.Ok);
       events := `Barrier :: !events);
   for i = 1 to 8 do
-    Client_lib.read client ~lba:(Int64.of_int i) ~len:4096 (fun _ ~latency:_ ->
+    Client_lib.read client ~lba:i ~len:4096 (fun _ ~latency:_ ->
         events := `Read_done i :: !events)
   done;
   ignore (Sim.run sim);
@@ -546,14 +566,67 @@ let test_e2e_double_barrier () =
   let client = connect_client sim fabric server () in
   register_ok sim client ~tenant:1 ();
   let log = ref [] in
-  Client_lib.write client ~lba:1L ~len:4096 (fun _ ~latency:_ -> log := "w1" :: !log);
+  Client_lib.write client ~lba:1 ~len:4096 (fun _ ~latency:_ -> log := "w1" :: !log);
   Client_lib.barrier client (fun _ ~latency:_ -> log := "b1" :: !log);
-  Client_lib.write client ~lba:2L ~len:4096 (fun _ ~latency:_ -> log := "w2" :: !log);
+  Client_lib.write client ~lba:2 ~len:4096 (fun _ ~latency:_ -> log := "w2" :: !log);
   Client_lib.barrier client (fun _ ~latency:_ -> log := "b2" :: !log);
-  Client_lib.read client ~lba:2L ~len:4096 (fun _ ~latency:_ -> log := "r" :: !log);
+  Client_lib.read client ~lba:2 ~len:4096 (fun _ ~latency:_ -> log := "r" :: !log);
   ignore (Sim.run sim);
   Alcotest.(check (list string)) "cut points preserved" [ "w1"; "b1"; "w2"; "b2"; "r" ]
     (List.rev !log)
+
+(* ------------------------------------------------------------------ *)
+(* Dataplane                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The scheduler hands each grant to the dataplane's submit callback
+   inside its QoS profiler scope; the callback (cookie slot, SQ submit on
+   the queue pair's own continuation) must allocate nothing, so the
+   scope minus its nested flash scopes reads exactly one 6-word
+   submission record per grant.  A warm-up first grows every ring and
+   arena to its working size. *)
+let test_dataplane_round_allocates_submissions_only () =
+  let module Telemetry = Reflex_telemetry.Telemetry in
+  let module Profiler = Reflex_obs.Profiler in
+  let sim = Sim.create () in
+  let profile = Device_profile.device_a in
+  let prof = Profiler.create () in
+  let telemetry = Telemetry.create () in
+  Telemetry.set_profiler telemetry prof;
+  let device = Nvme_model.create ~telemetry sim ~profile ~prng:(Prng.create 3L) in
+  let global = Global_bucket.create ~n_threads:1 in
+  Global_bucket.set_active_threads global [ 0 ];
+  let responses = ref 0 in
+  let dp =
+    Dataplane.create sim ~thread_id:0 ~qp:(Queue_pair.create device) ~device
+      ~cost_model:(Cost_model.of_profile profile) ~global ~telemetry
+      ~respond:(fun _ -> incr responses)
+      ()
+  in
+  Dataplane.add_tenant dp ~id:1 ~slo:(Slo.best_effort ()) ~token_rate:1e9;
+  let phase n =
+    let t0 = Sim.now sim in
+    for i = 1 to n do
+      ignore
+        (Sim.at sim
+           (Time.add t0 (Time.ns (1_500 * i)))
+           (fun () -> Dataplane.receive dp ~tenant_id:1 ~kind:Io_op.Read ~bytes:4096 ()))
+    done;
+    ignore (Sim.run sim)
+  in
+  let open Profiler.Subsystem in
+  let snapshot () =
+    (Profiler.minor_words prof Qos -. Profiler.minor_words prof Flash, Profiler.calls prof Flash)
+  in
+  phase 500;
+  let w0, g0 = snapshot () in
+  phase 4_000;
+  let w1, g1 = snapshot () in
+  Alcotest.(check int) "every request answered" 4_500 !responses;
+  Alcotest.(check int) "every measured request granted" 4_000 (g1 - g0);
+  Alcotest.(check (float 0.0)) "QoS-scope minor words: one submission per grant"
+    (float_of_int (6 * (g1 - g0)))
+    (w1 -. w0)
 
 let test_e2e_deficit_notifications () =
   (* A tenant bursting writes far past its small reservation drives its
@@ -675,7 +748,7 @@ let test_blk_dev_bio_roundtrip () =
   let dev = match !dev with Some d -> d | None -> Alcotest.fail "device not ready" in
   Alcotest.(check int) "contexts" 2 (Blk_dev.n_contexts dev);
   let lat = ref None in
-  Blk_dev.submit_bio dev ~kind:Io_op.Read ~lba:0L ~bytes:4096 (fun ~latency -> lat := Some latency);
+  Blk_dev.submit_bio dev ~kind:Io_op.Read ~lba:0 ~bytes:4096 (fun ~latency -> lat := Some latency);
   ignore (Sim.run sim);
   (match !lat with
   | Some l ->
@@ -695,7 +768,7 @@ let test_blk_dev_large_bio_splits () =
   let dev = match !dev with Some d -> d | None -> Alcotest.fail "not ready" in
   let done_ = ref false in
   (* 32KB bio = eight 4KB blocks; completes only when all blocks do. *)
-  Blk_dev.submit_bio dev ~kind:Io_op.Read ~lba:0L ~bytes:32768 (fun ~latency:_ -> done_ := true);
+  Blk_dev.submit_bio dev ~kind:Io_op.Read ~lba:0 ~bytes:32768 (fun ~latency:_ -> done_ := true);
   ignore (Sim.run sim);
   Alcotest.(check bool) "completed" true !done_;
   Alcotest.(check int) "server saw 8 requests" 8 (Server.requests_completed server)
@@ -819,6 +892,7 @@ let suite =
         Alcotest.test_case "default deny" `Quick test_acl_default_deny;
         Alcotest.test_case "grant/revoke" `Quick test_acl_grant;
         Alcotest.test_case "permissive" `Quick test_acl_permissive;
+        Alcotest.test_case "int range boundary" `Quick test_acl_int_boundary;
       ] );
     ("costs", [ Alcotest.test_case "connection cache penalty" `Quick test_conn_factor ]);
     ( "control_plane",
@@ -832,6 +906,11 @@ let suite =
           test_cp_forget_unknown_idempotent;
         Alcotest.test_case "capacity factor re-pricing" `Quick test_cp_capacity_factor;
         Alcotest.test_case "default curve monotone" `Quick test_cp_default_curve_monotone;
+      ] );
+    ( "dataplane",
+      [
+        Alcotest.test_case "granting round allocates submissions only" `Quick
+          test_dataplane_round_allocates_submissions_only;
       ] );
     ( "server_e2e",
       [

@@ -142,15 +142,15 @@ let prop_prng_int_bounds =
 
 let test_heap_ordering () =
   let h = Heap.create () in
-  Heap.push h ~time:(ns 30) ~seq:0 "c";
-  Heap.push h ~time:(ns 10) ~seq:1 "a";
-  Heap.push h ~time:(ns 20) ~seq:2 "b";
+  Heap.push h ~time:(ns 30) ~seq:0 3;
+  Heap.push h ~time:(ns 10) ~seq:1 1;
+  Heap.push h ~time:(ns 20) ~seq:2 2;
   let pop () =
     match Heap.pop h with Some (_, _, v) -> v | None -> Alcotest.fail "empty"
   in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ());
+  Alcotest.(check int) "first" 1 (pop ());
+  Alcotest.(check int) "second" 2 (pop ());
+  Alcotest.(check int) "third" 3 (pop ());
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
 let test_heap_fifo_ties () =
@@ -169,10 +169,10 @@ let prop_heap_sorts =
     QCheck.(list (int_range 0 1_000_000))
     (fun times ->
       let h = Heap.create () in
-      List.iteri (fun i x -> Heap.push h ~time:(ns x) ~seq:i ()) times;
+      List.iteri (fun i x -> Heap.push h ~time:(ns x) ~seq:i i) times;
       let rec drain acc =
         match Heap.pop h with
-        | Some (t, _, ()) -> drain ((t :> int) :: acc)
+        | Some (t, _, _) -> drain ((t :> int) :: acc)
         | None -> List.rev acc
       in
       let popped = drain [] in
@@ -224,47 +224,6 @@ let prop_heap_pop_if_le_matches_guarded_pop =
           pop_if_le_opt h1 ~until = guarded_pop h2 ~until)
         probes
       && Heap.length h1 = Heap.length h2)
-
-let test_heap_clear_releases_values () =
-  let h = Heap.create () in
-  let w = Weak.create 4 in
-  for i = 0 to 3 do
-    let v = ref i in
-    Weak.set w i (Some v);
-    Heap.push h ~time:(ns i) ~seq:i v
-  done;
-  Heap.clear h;
-  Gc.full_major ();
-  for i = 0 to 3 do
-    Alcotest.(check bool) "cleared value collected" false (Weak.check w i)
-  done;
-  Alcotest.(check int) "empty after clear" 0 (Heap.length h);
-  Heap.push h ~time:(ns 1) ~seq:0 (ref 9);
-  (match Heap.pop h with
-  | Some (t, 0, { contents = 9 }) when Time.equal t (ns 1) -> ()
-  | _ -> Alcotest.fail "heap unusable after clear")
-
-let test_heap_pop_blanks_slots () =
-  let h = Heap.create () in
-  let w = Weak.create 8 in
-  for i = 0 to 7 do
-    let v = ref i in
-    Weak.set w i (Some v);
-    Heap.push h ~time:(ns i) ~seq:i v
-  done;
-  for _ = 0 to 7 do
-    ignore (Heap.pop h)
-  done;
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to 7 do
-    if Weak.check w i then incr live
-  done;
-  (* Draining the heap blanks vacated slots; only the final pop may leave
-     one stale reference in slot 0. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "%d live after drain (at most 1)" !live)
-    true (!live <= 1)
 
 let test_heap_clear_keeps_capacity () =
   let h = Heap.create () in
@@ -686,90 +645,119 @@ let prop_sim_backends_equivalent =
 
 let test_resource_single_server_fifo () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
+  let r = Resource.create sim in
   let finishes = ref [] in
   for i = 1 to 3 do
-    Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished ->
-        finishes := (i, finished) :: !finishes)
+    Resource.submit r ~service:(Time.us 10) (fun i -> finishes := (i, Sim.now sim) :: !finishes) i
   done;
   ignore (Sim.run sim);
   let expected = [ (1, Time.us 10); (2, Time.us 20); (3, Time.us 30) ] in
   Alcotest.(check (list (pair int Test_util.time))) "sequential service" expected (List.rev !finishes)
 
-let test_resource_parallel_servers () =
-  let sim = Sim.create () in
-  let r = Resource.create sim ~servers:2 in
-  let finishes = ref [] in
-  for i = 1 to 4 do
-    Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished ->
-        finishes := (i, finished) :: !finishes)
-  done;
-  ignore (Sim.run sim);
-  let expected =
-    [ (1, Time.us 10); (2, Time.us 10); (3, Time.us 20); (4, Time.us 20) ]
-  in
-  Alcotest.(check (list (pair int Test_util.time))) "two at a time" expected (List.rev !finishes)
-
 let test_resource_priority () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
+  let r = Resource.create sim in
   let order = ref [] in
+  let log name _ = order := name :: !order in
   (* Occupy the server, then enqueue low before high: high must win. *)
-  Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished:_ ->
-      order := "first" :: !order);
-  Resource.submit r ~priority:Resource.Low ~service:(Time.us 10)
-    (fun ~started:_ ~finished:_ -> order := "low" :: !order);
-  Resource.submit r ~priority:Resource.High ~service:(Time.us 10)
-    (fun ~started:_ ~finished:_ -> order := "high" :: !order);
+  Resource.submit r ~service:(Time.us 10) (log "first") 0;
+  Resource.submit r ~priority:Resource.Low ~service:(Time.us 10) (log "low") 0;
+  Resource.submit r ~priority:Resource.High ~service:(Time.us 10) (log "high") 0;
   ignore (Sim.run sim);
   Alcotest.(check (list string)) "high preempts queue" [ "first"; "high"; "low" ]
     (List.rev !order)
 
 let test_resource_nonpreemptive () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
-  let high_started = ref Time.zero in
-  Resource.submit r ~priority:Resource.Low ~service:(Time.ms 5)
-    (fun ~started:_ ~finished:_ -> ());
+  let r = Resource.create sim in
+  let high_finished = ref Time.zero in
+  Resource.submit r ~priority:Resource.Low ~service:(Time.ms 5) ignore 0;
   ignore
     (Sim.at sim (Time.us 1) (fun () ->
          Resource.submit r ~priority:Resource.High ~service:(Time.us 1)
-           (fun ~started ~finished:_ -> high_started := started)));
+           (fun _ -> high_finished := Sim.now sim)
+           0));
   ignore (Sim.run sim);
-  Alcotest.check time "high waits behind in-service low" (Time.ms 5) !high_started
+  Alcotest.check time "high waits behind in-service low" (Time.add (Time.ms 5) (Time.us 1))
+    !high_finished
 
 let test_resource_utilization () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
-  Resource.submit r ~service:(Time.us 50) (fun ~started:_ ~finished:_ -> ());
+  let r = Resource.create sim in
+  Resource.submit r ~service:(Time.us 50) ignore 0;
   ignore (Sim.run ~until:(Time.us 100) sim);
   Alcotest.(check bool) "50% busy" true (abs_float (Resource.utilization r -. 0.5) < 1e-6);
   Alcotest.(check int) "completed" 1 (Resource.completed r)
 
 let test_resource_queue_depth_visibility () =
   let sim = Sim.create () in
-  let r = Resource.create sim ~servers:1 in
-  Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished:_ -> ());
-  Resource.submit r ~service:(Time.us 10) (fun ~started:_ ~finished:_ -> ());
-  Resource.submit r ~priority:Resource.Low ~service:(Time.us 10)
-    (fun ~started:_ ~finished:_ -> ());
+  let r = Resource.create sim in
+  Resource.submit r ~service:(Time.us 10) ignore 0;
+  Resource.submit r ~service:(Time.us 10) ignore 0;
+  Resource.submit r ~priority:Resource.Low ~service:(Time.us 10) ignore 0;
   Alcotest.(check int) "one busy" 1 (Resource.busy r);
   Alcotest.(check (pair int int)) "queues" (1, 1) (Resource.queued r);
   ignore (Sim.run sim)
 
+(* The next job is put in service (its completion event scheduled)
+   before the finished job's continuation runs, so a continuation that
+   submits again queues behind work already waiting. *)
+let test_resource_dispatch_before_continuation () =
+  let sim = Sim.create () in
+  let r = Resource.create sim in
+  let order = ref [] in
+  let rec again i =
+    order := i :: !order;
+    if i = 1 then Resource.submit r ~service:(Time.us 10) again 3
+  in
+  Resource.submit r ~service:(Time.us 10) again 1;
+  Resource.submit r ~service:(Time.us 10) again 2;
+  ignore (Sim.run sim);
+  Alcotest.(check (list int)) "waiting job first" [ 1; 2; 3 ] (List.rev !order);
+  Alcotest.check time "back to back" (Time.us 30) (Sim.now sim)
+
+(* With a continuation made once, a submission allocates nothing in
+   steady state: waiting jobs live in the resource's rings and every job
+   completes through the thunk it made at creation.  The first batch
+   grows the rings, the event arena and the queue (cold paths). *)
+let test_resource_allocation_free () =
+  let sim = Sim.create () in
+  let r = Resource.create sim in
+  let completed = ref 0 in
+  let k arg = completed := !completed + arg in
+  let batch n =
+    for i = 1 to n do
+      if i land 1 = 0 then Resource.submit r ~service:(Time.ns 100) k 1
+      else Resource.submit r ~priority:Resource.Low ~service:(Time.ns 100) k 1
+    done;
+    ignore (Sim.run sim)
+  in
+  batch 256;
+  let words = Test_util.minor_words (fun () -> for _ = 1 to 20 do batch 256 done) in
+  Alcotest.(check int) "every job completed" (21 * 256) !completed;
+  Alcotest.(check (float 0.0)) "minor words for 5120 jobs" 0.0 words
+
 let prop_resource_conserves_jobs =
   QCheck.Test.make ~name:"resource completes every submitted job" ~count:100
-    QCheck.(pair (int_range 1 8) (list_of_size Gen.(int_range 1 50) (int_range 1 1000)))
-    (fun (servers, services) ->
+    QCheck.(list_of_size Gen.(int_range 1 50) (pair (int_range 1 1000) bool))
+    (fun jobs ->
       let sim = Sim.create () in
-      let r = Resource.create sim ~servers in
+      let r = Resource.create sim in
       let done_ = ref 0 in
       List.iter
-        (fun s ->
-          Resource.submit r ~service:(Time.ns s) (fun ~started:_ ~finished:_ -> incr done_))
-        services;
+        (fun (s, high) ->
+          Resource.submit r
+            ~priority:(if high then Resource.High else Resource.Low)
+            ~service:(Time.ns s)
+            (fun _ -> incr done_)
+            0)
+        jobs;
       ignore (Sim.run sim);
-      !done_ = List.length services && Resource.completed r = List.length services)
+      let busy = List.fold_left (fun acc (s, _) -> acc + s) 0 jobs in
+      !done_ = List.length jobs
+      && Resource.completed r = List.length jobs
+      && Time.equal (Resource.busy_time r) (Time.ns busy)
+      && Time.equal (Sim.now sim) (Time.ns busy))
 
 let qcheck = QCheck_alcotest.to_alcotest
 
@@ -799,8 +787,6 @@ let suite =
         Alcotest.test_case "ordering" `Quick test_heap_ordering;
         Alcotest.test_case "FIFO on ties" `Quick test_heap_fifo_ties;
         Alcotest.test_case "pop_if_le horizon" `Quick test_heap_pop_if_le_horizon;
-        Alcotest.test_case "clear releases values" `Quick test_heap_clear_releases_values;
-        Alcotest.test_case "pop blanks vacated slots" `Quick test_heap_pop_blanks_slots;
         Alcotest.test_case "clear keeps capacity" `Quick test_heap_clear_keeps_capacity;
         qcheck prop_heap_sorts;
         qcheck prop_heap_pop_if_le_matches_guarded_pop;
@@ -842,11 +828,13 @@ let suite =
     ( "resource",
       [
         Alcotest.test_case "single-server FIFO" `Quick test_resource_single_server_fifo;
-        Alcotest.test_case "parallel servers" `Quick test_resource_parallel_servers;
         Alcotest.test_case "priority dispatch" `Quick test_resource_priority;
         Alcotest.test_case "non-preemptive" `Quick test_resource_nonpreemptive;
         Alcotest.test_case "utilization accounting" `Quick test_resource_utilization;
         Alcotest.test_case "queue visibility" `Quick test_resource_queue_depth_visibility;
+        Alcotest.test_case "dispatch before continuation" `Quick
+          test_resource_dispatch_before_continuation;
+        Alcotest.test_case "submit allocates nothing" `Quick test_resource_allocation_free;
         qcheck prop_resource_conserves_jobs;
       ] );
   ]

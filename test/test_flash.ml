@@ -56,9 +56,11 @@ let probe_qd1 sim dev ~kind ~bytes ~count =
   let rec next () =
     if !remaining > 0 then begin
       decr remaining;
-      Nvme_model.submit dev ~kind ~bytes (fun ~latency ->
-          Reservoir.add res (Time.to_float_us latency);
+      Nvme_model.submit dev ~kind ~bytes
+        (fun _ ->
+          Reservoir.add res (Time.to_float_us (Nvme_model.last_latency dev));
           ignore (Sim.after sim (Time.us 100) next))
+        0
     end
   in
   ignore (Sim.at sim (Sim.now sim) next);
@@ -99,7 +101,7 @@ let test_small_reads_cost_constant () =
 let test_read_only_mode_window () =
   let sim, dev = make_dev () in
   Alcotest.(check bool) "starts read-only" true (Nvme_model.read_only_mode dev);
-  Nvme_model.submit dev ~kind:Io_op.Write ~bytes:4096 (fun ~latency:_ -> ());
+  Nvme_model.submit dev ~kind:Io_op.Write ~bytes:4096 ignore 0;
   Alcotest.(check bool) "write leaves read-only mode" false (Nvme_model.read_only_mode dev);
   ignore (Sim.run sim);
   (* Past the ro_window with no further writes, the fast path returns. *)
@@ -113,7 +115,7 @@ let test_write_buffer_bounded () =
   let acked = ref 0 in
   (* Flood far beyond the buffer in zero time. *)
   for _ = 1 to 4 * slots do
-    Nvme_model.submit dev ~kind:Io_op.Write ~bytes:4096 (fun ~latency:_ -> incr acked)
+    Nvme_model.submit dev ~kind:Io_op.Write ~bytes:4096 (fun _ -> incr acked) 0
   done;
   Alcotest.(check bool) "occupancy capped" true (Nvme_model.write_buffer_used dev <= slots);
   ignore (Sim.run sim);
@@ -183,7 +185,7 @@ let test_wear_recalibration () =
 let test_utilization_counts () =
   let sim, dev = make_dev () in
   for _ = 1 to 100 do
-    Nvme_model.submit dev ~kind:Io_op.Read ~bytes:4096 (fun ~latency:_ -> ())
+    Nvme_model.submit dev ~kind:Io_op.Read ~bytes:4096 ignore 0
   done;
   ignore (Sim.run sim);
   Alcotest.(check int) "reads counted" 100 (Nvme_model.reads_completed dev);

@@ -45,6 +45,22 @@ let test_det_hashtbl () =
   check_findings "bad fires" [ ("det/hashtbl-order", 4) ] "lint_fixtures/bad_det_hashtbl.ml";
   check_findings "clean (sorted) silent" [] "lint_fixtures/clean_det_hashtbl.ml"
 
+(* [Int_tbl] is [Hashtbl.Make] over ints: its iteration order is just as
+   unspecified, opened or qualified; a sorted binding stays clean, and
+   lookups are not iteration. *)
+let test_det_hashtbl_int_tbl () =
+  let src =
+    Lint_source.of_string ~rel:"i.ml"
+      "let keys tbl = Int_tbl.fold (fun k _ acc -> k :: acc) tbl []\n\
+      let each tbl f = Reflex_engine.Int_tbl.iter f tbl\n\
+      let sorted tbl = List.sort compare (Int_tbl.fold (fun k _ acc -> k :: acc) tbl [])\n\
+      let get tbl k = Int_tbl.find_opt tbl k\n"
+  in
+  let r = Lint_driver.run_on_source ~manifest:Lint_manifest.empty src in
+  Alcotest.(check (list finding)) "unsorted Int_tbl iterations fire"
+    [ ("det/hashtbl-order", 1); ("det/hashtbl-order", 2) ]
+    (rule_lines r)
+
 let test_dom_toplevel () =
   check_findings "bad fires" [ ("dom/toplevel-state", 3) ] "lint_fixtures/bad_dom_toplevel.ml";
   check_findings "clean (per-instance) silent" [] "lint_fixtures/clean_dom_toplevel.ml"
@@ -304,6 +320,7 @@ let suite =
         Alcotest.test_case "det/clock fixtures" `Quick test_det_clock;
         Alcotest.test_case "det/marshal fixtures" `Quick test_det_marshal;
         Alcotest.test_case "det/hashtbl-order fixtures" `Quick test_det_hashtbl;
+        Alcotest.test_case "det/hashtbl-order covers Int_tbl" `Quick test_det_hashtbl_int_tbl;
         Alcotest.test_case "dom/toplevel-state fixtures" `Quick test_dom_toplevel;
         Alcotest.test_case "guard/telemetry fixtures" `Quick test_guard;
         Alcotest.test_case "hot/alloc fixtures" `Quick test_hot_alloc;

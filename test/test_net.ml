@@ -55,7 +55,7 @@ let test_transmit_latency () =
   let a = Fabric.add_host fabric ~name:"a" ~stack:Stack_model.ix_client in
   let b = Fabric.add_host fabric ~name:"b" ~stack:Stack_model.ix_client in
   let arrival = ref Time.zero in
-  Fabric.transmit fabric ~src:a ~dst:b ~bytes:4096 (fun () -> arrival := Sim.now sim);
+  Fabric.transmit fabric ~src:a ~dst:b ~bytes:4096 (fun _ -> arrival := Sim.now sim) 0;
   ignore (Sim.run sim);
   (* 2 x 3.28us serialization + 2 x 0.7 NIC + 1.2 switch + 1.5 rx stack ~ 10.3us *)
   let us = Time.to_float_us !arrival in
@@ -71,7 +71,7 @@ let test_bandwidth_cap () =
   for i = 0 to n - 1 do
     ignore
       (Sim.at sim (Time.of_float_ns (float_of_int i *. 1666.0)) (fun () ->
-           Fabric.transmit fabric ~src:a ~dst:b ~bytes:4096 (fun () -> incr delivered)))
+           Fabric.transmit fabric ~src:a ~dst:b ~bytes:4096 (fun _ -> incr delivered) 0))
   done;
   ignore (Sim.run ~until:(Time.ms 100) sim);
   let rate_mbs = float_of_int (!delivered * 4096) /. 0.1 /. 1e6 in
@@ -84,12 +84,33 @@ let test_byte_accounting () =
   let sim, fabric = make_fabric () in
   let a = Fabric.add_host fabric ~name:"a" ~stack:Stack_model.ix_client in
   let b = Fabric.add_host fabric ~name:"b" ~stack:Stack_model.ix_client in
-  Fabric.transmit fabric ~src:a ~dst:b ~bytes:1000 (fun () -> ());
-  Fabric.transmit fabric ~src:a ~dst:b ~bytes:2000 (fun () -> ());
+  Fabric.transmit fabric ~src:a ~dst:b ~bytes:1000 ignore 0;
+  Fabric.transmit fabric ~src:a ~dst:b ~bytes:2000 ignore 0;
   ignore (Sim.run sim);
   Alcotest.(check int) "sent" 3000 (Fabric.bytes_sent a);
   Alcotest.(check int) "received" 3000 (Fabric.bytes_received b);
   Alcotest.(check string) "name" "a" (Fabric.host_name a)
+
+(* With a delivery continuation made once, a transmission allocates
+   nothing in steady state: the message rides the fabric's in-flight
+   arena between stages.  The first batch grows the arena, the link
+   rings and the event arena (cold paths). *)
+let test_transmit_allocation_free () =
+  let sim, fabric = make_fabric () in
+  let a = Fabric.add_host fabric ~name:"a" ~stack:Stack_model.ix_client in
+  let b = Fabric.add_host fabric ~name:"b" ~stack:Stack_model.ix_client in
+  let delivered = ref 0 in
+  let k arg = delivered := !delivered + arg in
+  let batch () =
+    for _ = 1 to 64 do
+      Fabric.transmit fabric ~src:a ~dst:b ~bytes:1024 k 1
+    done;
+    ignore (Sim.run sim)
+  in
+  batch ();
+  let words = Test_util.minor_words (fun () -> for _ = 1 to 50 do batch () done) in
+  Alcotest.(check int) "every message delivered" (51 * 64) !delivered;
+  Alcotest.(check (float 0.0)) "minor words for 3200 transmissions" 0.0 words
 
 (* ------------------------------------------------------------------ *)
 (* Tcp_conn                                                           *)
@@ -146,6 +167,86 @@ let test_conn_handler_installed_late () =
   Tcp_conn.set_server_handler conn (fun msg ~size:_ -> got := Some msg);
   Alcotest.(check (option string)) "queued message replayed" (Some "early") !got
 
+(* A send allocates nothing in steady state either: the message waits in
+   the reassembly ring at its sequence number, which is the only thing
+   the stack-delay event and the fabric carry. *)
+let test_conn_send_allocation_free () =
+  let sim, fabric = make_fabric () in
+  let client = Fabric.add_host fabric ~name:"c" ~stack:Stack_model.ix_client in
+  let server = Fabric.add_host fabric ~name:"s" ~stack:Stack_model.dataplane_server in
+  let conn = Tcp_conn.connect fabric ~client ~server in
+  let sum = ref 0 in
+  Tcp_conn.set_server_handler conn (fun msg ~size:_ -> sum := !sum + msg);
+  let batch () =
+    for i = 1 to 64 do
+      Tcp_conn.send_to_server conn ~size:64 i
+    done;
+    ignore (Sim.run sim)
+  in
+  batch ();
+  let words = Test_util.minor_words (fun () -> for _ = 1 to 50 do batch () done) in
+  Alcotest.(check int) "every message handled" (51 * 64 * 65 / 2) !sum;
+  Alcotest.(check (float 0.0)) "minor words for 3200 sends" 0.0 words
+
+(* Receive jitter reorders raw deliveries, loss delays some messages by
+   an RTO and duplication delivers some twice; bursts widen the window
+   so the ring grows mid-stream.  Reassembly must still hand every
+   message to the handler exactly once, in send order. *)
+let prop_reassembly_exactly_once_in_order =
+  QCheck.Test.make ~name:"reassembly ring: exactly once, in order, under faults" ~count:60
+    QCheck.(
+      quad (int_range 1 6) (int_range 0 40) (int_range 0 40)
+        (list_of_size Gen.(int_range 1 40) (pair (int_range 0 30) (int_range 1 24))))
+    (fun (seed, loss_pct, dup_pct, bursts) ->
+      let sim, fabric = make_fabric () in
+      let client = Fabric.add_host fabric ~name:"c" ~stack:Stack_model.linux_client in
+      let server = Fabric.add_host fabric ~name:"s" ~stack:Stack_model.linux_server in
+      Fabric.set_fault_prng fabric (Prng.create (Int64.of_int seed));
+      Fabric.set_loss fabric ~prob:(float_of_int loss_pct /. 100.0) ~rto:(Time.us 200);
+      Fabric.set_dup fabric ~prob:(float_of_int dup_pct /. 100.0);
+      let conn = Tcp_conn.connect fabric ~client ~server in
+      let received = ref [] in
+      Tcp_conn.set_server_handler conn (fun msg ~size:_ -> received := msg :: !received);
+      let next = ref 0 and at = ref Time.zero in
+      List.iter
+        (fun (gap_us, burst) ->
+          at := Time.add !at (Time.us gap_us);
+          ignore
+            (Sim.at sim !at (fun () ->
+                 for _ = 1 to burst do
+                   incr next;
+                   Tcp_conn.send_to_server conn ~size:64 !next
+                 done)))
+        bursts;
+      ignore (Sim.run sim);
+      List.rev !received = List.init !next (fun i -> i + 1)
+      && Tcp_conn.delivered_to_server conn = !next)
+
+(* A delivered message is released: its ring slot takes the fixed filler
+   (the endpoint's first message), so after a full major GC nothing of
+   the connection keeps it reachable. *)
+let test_conn_ring_releases_delivered () =
+  let sim, fabric = make_fabric () in
+  let client = Fabric.add_host fabric ~name:"c" ~stack:Stack_model.ix_client in
+  let server = Fabric.add_host fabric ~name:"s" ~stack:Stack_model.ix_client in
+  let conn = Tcp_conn.connect fabric ~client ~server in
+  let got = ref 0 in
+  Tcp_conn.set_server_handler conn (fun msg ~size:_ -> got := !got + !msg);
+  Tcp_conn.send_to_server conn ~size:64 (ref 0);
+  let w = Weak.create 8 in
+  for i = 0 to 7 do
+    let msg = ref (i + 1) in
+    Weak.set w i (Some msg);
+    Tcp_conn.send_to_server conn ~size:64 msg
+  done;
+  ignore (Sim.run sim);
+  Alcotest.(check int) "all delivered" 36 !got;
+  Gc.full_major ();
+  for i = 0 to 7 do
+    Alcotest.(check bool) (Printf.sprintf "message %d collected" (i + 1)) false (Weak.check w i)
+  done;
+  ignore (Sys.opaque_identity conn)
+
 let test_linux_slower_than_ix () =
   (* One-way delivery time: Linux receiver should be slower on average
      than an IX receiver (interrupt coalescing + wakeup). *)
@@ -158,8 +259,9 @@ let test_linux_slower_than_ix () =
       ignore
         (Sim.at sim (Time.us (i * 100)) (fun () ->
              let sent = Sim.now sim in
-             Fabric.transmit fabric ~src:a ~dst:b ~bytes:4096 (fun () ->
-                 sum := !sum +. Time.to_float_us (Time.diff (Sim.now sim) sent))))
+             Fabric.transmit fabric ~src:a ~dst:b ~bytes:4096
+               (fun _ -> sum := !sum +. Time.to_float_us (Time.diff (Sim.now sim) sent))
+               0))
     done;
     ignore (Sim.run sim);
     !sum /. float_of_int n
@@ -184,6 +286,7 @@ let suite =
         Alcotest.test_case "one-way latency" `Quick test_transmit_latency;
         Alcotest.test_case "10GbE bandwidth cap" `Quick test_bandwidth_cap;
         Alcotest.test_case "byte accounting" `Quick test_byte_accounting;
+        Alcotest.test_case "transmit allocates nothing" `Quick test_transmit_allocation_free;
       ] );
     ( "tcp_conn",
       [
@@ -191,5 +294,9 @@ let suite =
         Alcotest.test_case "FIFO under receive jitter" `Quick test_conn_fifo_under_jitter;
         Alcotest.test_case "late handler replays queue" `Quick test_conn_handler_installed_late;
         Alcotest.test_case "linux receiver slower than ix" `Quick test_linux_slower_than_ix;
+        Alcotest.test_case "send allocates nothing" `Quick test_conn_send_allocation_free;
+        Alcotest.test_case "ring releases delivered messages" `Quick
+          test_conn_ring_releases_delivered;
+        QCheck_alcotest.to_alcotest prop_reassembly_exactly_once_in_order;
       ] );
   ]

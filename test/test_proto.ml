@@ -11,8 +11,8 @@ let sample_messages =
       };
     Message.Register { tenant = 7; slo = Message.best_effort_slo };
     Message.Unregister { handle = 3 };
-    Message.Read_req { handle = 1; req_id = 99; lba = 123_456L; len = 4096 };
-    Message.Write_req { handle = 2; req_id = 100; lba = 0L; len = 1024 };
+    Message.Read_req { handle = 1; req_id = 99; lba = 123_456; len = 4096 };
+    Message.Write_req { handle = 2; req_id = 100; lba = 0; len = 1024 };
     Message.Registered { handle = 5; status = Message.Ok };
     Message.Registered { handle = 5; status = Message.No_capacity };
     Message.Unregistered { handle = 5 };
@@ -37,10 +37,10 @@ let test_roundtrip_all () =
     sample_messages
 
 let test_payload_sizes () =
-  let read_req = Message.Read_req { handle = 1; req_id = 1; lba = 0L; len = 4096 } in
+  let read_req = Message.Read_req { handle = 1; req_id = 1; lba = 0; len = 4096 } in
   Alcotest.(check int) "read request carries no data" Codec.header_size
     (Codec.encoded_size read_req);
-  let write_req = Message.Write_req { handle = 1; req_id = 1; lba = 0L; len = 4096 } in
+  let write_req = Message.Write_req { handle = 1; req_id = 1; lba = 0; len = 4096 } in
   Alcotest.(check int) "write request carries data" (Codec.header_size + 4096)
     (Codec.encoded_size write_req);
   let resp_ok = Message.Read_resp { req_id = 1; status = Message.Ok; len = 4096 } in
@@ -69,7 +69,7 @@ let test_short_buffer () =
       ignore (Codec.decode (Bytes.create 4) 0))
 
 let test_encode_into_offset () =
-  let msg = Message.Read_req { handle = 9; req_id = 5; lba = 77L; len = 512 } in
+  let msg = Message.Read_req { handle = 9; req_id = 5; lba = 77; len = 512 } in
   let buf = Bytes.make (Codec.header_size + 10) '\xAA' in
   let n = Codec.encode_into msg buf 10 in
   Alcotest.(check int) "bytes written" Codec.header_size n;
@@ -89,7 +89,7 @@ let test_req_id_boundary () =
           let decoded, _ = Codec.decode (Codec.encode msg) 0 in
           Alcotest.check msg_testable (Printf.sprintf "req_id %d roundtrips" req_id) msg decoded)
         [
-          Message.Read_req { handle = 1; req_id; lba = 8L; len = 4096 };
+          Message.Read_req { handle = 1; req_id; lba = 8; len = 4096 };
           Message.Write_resp { req_id; status = Message.Ok };
           Message.Barrier_resp { req_id };
         ])
@@ -106,6 +106,46 @@ let test_req_id_boundary () =
   Alcotest.check_raises "negative req_id refused on encode"
     (Invalid_argument "Codec: req_id out of range") (fun () ->
       ignore (Codec.encode (Message.Barrier_resp { req_id = -1 })))
+
+(* LBAs are immediate ints too: the 64-bit wire field round-trips
+   [0, max_int] for reads and writes, decode rejects anything outside
+   with a typed error, and encode refuses a negative LBA.  A register
+   message's packed SLO uses the same field and stays unchecked. *)
+let test_lba_boundary () =
+  List.iter
+    (fun lba ->
+      List.iter
+        (fun msg ->
+          let decoded, _ = Codec.decode (Codec.encode msg) 0 in
+          Alcotest.check msg_testable (Printf.sprintf "lba %d roundtrips" lba) msg decoded)
+        [
+          Message.Read_req { handle = 1; req_id = 3; lba; len = 4096 };
+          Message.Write_req { handle = 1; req_id = 3; lba; len = 512 };
+        ])
+    [ 0; 1; max_int ];
+  List.iter
+    (fun msg ->
+      let buf = Codec.encode msg in
+      List.iter
+        (fun wire ->
+          Bytes.set_int64_le buf 16 wire;
+          Alcotest.check_raises
+            (Printf.sprintf "wire lba %Lu rejected" wire)
+            (Invalid_argument (Printf.sprintf "Codec.decode: lba %Lu out of range" wire))
+            (fun () -> ignore (Codec.decode buf 0)))
+        [ Int64.add (Int64.of_int max_int) 1L; -1L; Int64.min_int ])
+    [
+      Message.Read_req { handle = 1; req_id = 3; lba = 0; len = 4096 };
+      Message.Write_req { handle = 1; req_id = 3; lba = 0; len = 512 };
+    ];
+  Alcotest.check_raises "negative lba refused on encode" (Invalid_argument "Codec: lba out of range")
+    (fun () -> ignore (Codec.encode (Message.Read_req { handle = 1; req_id = 3; lba = -1; len = 4096 })));
+  let slo =
+    { Message.latency_us = 500; iops = 100_000; read_pct = 80; latency_critical = true }
+  in
+  let reg = Message.Register { tenant = 4; slo } in
+  Alcotest.check msg_testable "register's packed SLO sets the top bit" reg
+    (fst (Codec.decode (Codec.encode reg) 0))
 
 let test_framer_whole_messages () =
   let f = Framer.create () in
@@ -131,7 +171,7 @@ let test_framer_byte_by_byte () =
 
 let test_framer_partial_payload () =
   let f = Framer.create () in
-  let msg = Message.Write_req { handle = 1; req_id = 1; lba = 0L; len = 4096 } in
+  let msg = Message.Write_req { handle = 1; req_id = 1; lba = 0; len = 4096 } in
   let b = Codec.encode msg in
   (* Header plus half the payload: not yet a message. *)
   Framer.feed f b ~off:0 ~len:(Codec.header_size + 2048);
@@ -162,10 +202,10 @@ let gen_msg =
         map (fun h -> Message.Unregister { handle = h }) (int_range 0 10_000);
         map
           (fun (h, (id, lba, len)) -> Message.Read_req { handle = h; req_id = id; lba; len })
-          (pair (int_range 0 10_000) (triple id (map Int64.of_int small) (int_range 1 65536)));
+          (pair (int_range 0 10_000) (triple id small (int_range 1 65536)));
         map
           (fun (h, (id, lba, len)) -> Message.Write_req { handle = h; req_id = id; lba; len })
-          (pair (int_range 0 10_000) (triple id (map Int64.of_int small) (int_range 1 65536)));
+          (pair (int_range 0 10_000) (triple id small (int_range 1 65536)));
         map (fun (id, s) -> Message.Write_resp { req_id = id; status = s }) (pair id status);
         map
           (fun (id, s, len) -> Message.Read_resp { req_id = id; status = s; len })
@@ -212,6 +252,7 @@ let suite =
         Alcotest.test_case "short buffer" `Quick test_short_buffer;
         Alcotest.test_case "encode at offset" `Quick test_encode_into_offset;
         Alcotest.test_case "req_id boundary" `Quick test_req_id_boundary;
+        Alcotest.test_case "lba boundary" `Quick test_lba_boundary;
         qcheck prop_codec_roundtrip;
       ] );
     ( "framer",
